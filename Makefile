@@ -47,21 +47,32 @@ test:
 race:
 	go test -race ./...
 
-# Determinism gate: the resilience tests run twice and must replay
-# bit-identically (fault schedules, zero-fault TCP results), the parallel
-# experiment engine must match sequential execution bit-for-bit, the
-# codec bit-identity tests must reproduce the dense result through the
-# delta codec — in-process and over TCP — twice over, the hierarchical
-# aggregation trees (randomized in-process topologies and 2-/3-level TCP
-# fleets) must reproduce the flat federation bit-for-bit, the batched
-# training kernels (ForwardBatch/BackwardBatch, the batched controller
-# update, and a whole Fig. 3 scenario) must reproduce the scalar kernels
-# bit-for-bit, and the parallel aggregation plane (the server's round
-# workers at widths 1/2/8 per codec, the parallel tree runner, and the TCP
-# tree deployment at Parallelism 4) must reproduce the sequential runs
-# bit-for-bit.
+# Determinism gate — defined here and nowhere else: scripts/check.sh and
+# the CI determinism job both call `make determinism`, so adding a test to
+# the gate is a one-line edit of DETERMINISM_TESTS. Every matching test runs
+# twice in one process (-count=2) and must reproduce itself, and its
+# reference run, bit-for-bit:
+#
+#   Resilience                 fault-injection schedules and zero-fault TCP
+#                              federation results replay identically
+#   ParallelMatchesSequential  the parallel experiment engine equals
+#                              sequential execution at every pool width
+#   ParallelAggregation        the server's round workers at widths 1/2/8
+#                              per codec, the parallel tree runner and the
+#                              TCP tree deployment at Parallelism 4 equal
+#                              the sequential runs
+#   CodecD{ense,elta}BitIdentical  dense and delta federations agree,
+#                              in-process at widths 1 and 8 and over TCP
+#   TreeBitIdentical           randomized in-process topologies and 2-/3-level
+#                              TCP fleets equal the flat federation
+#   BatchBitIdentical          ForwardBatch/BackwardBatch, the batched
+#                              controller update and a whole Fig. 3 scenario
+#                              equal the scalar kernels
+DETERMINISM_TESTS := Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical
+DETERMINISM_PKGS  := ./internal/fed/... ./internal/experiment/... ./internal/nn/... ./internal/core/... .
+
 determinism:
-	go test -run 'Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical' -count=2 ./internal/fed/... ./internal/experiment/... ./internal/nn/... ./internal/core/... .
+	go test -run '$(DETERMINISM_TESTS)' -count=2 $(DETERMINISM_PKGS)
 
 # Extended fuzzing of the federation wire format (seed corpus always runs
 # as part of `make test`).

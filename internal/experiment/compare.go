@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"fedpower/internal/baseline"
-	"fedpower/internal/core"
 	"fedpower/internal/fed"
 	"fedpower/internal/par"
 	"fedpower/internal/stats"
@@ -86,17 +85,11 @@ func RunComparison(o Options, scIndex int, sc Scenario) (*ComparisonResult, erro
 	// independent units on the experiment worker pool.
 	runOurs := func() error {
 		// Federated neural controller.
-		fedClients := make([]fed.Client, len(sc.Devices))
-		for i, names := range sc.Devices {
-			specs, err := workload.ByNames(names...)
-			if err != nil {
-				return err
-			}
-			fedClients[i] = newNeuralDevice(o, int64(idFedDevice+i+10*scIndex), specs)
+		fedClients, global, err := newFederation(o, sc, int64(idFedDevice+10*scIndex), int64(scIndex))
+		if err != nil {
+			return err
 		}
-		global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, int64(scIndex))).ModelParams()
-		globalCopy := append([]float64(nil), global...)
-		err := fed.RunParallel(globalCopy, fedClients, o.Rounds, o.workers(), func(round int, g []float64) {
+		err = fed.RunParallel(global, fedClients, o.Rounds, o.workers(), func(round int, g []float64) {
 			if round%o.ExecEvalEvery != 0 {
 				return
 			}

@@ -115,20 +115,14 @@ func trainFederated(o Options, scIndex int, sc Scenario) ([]float64, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	clients := make([]fed.Client, len(sc.Devices))
-	for i, names := range sc.Devices {
-		specs, err := workload.ByNames(names...)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = newNeuralDevice(o, int64(idFedDevice+i+10*scIndex), specs)
+	clients, global, err := newFederation(o, sc, int64(idFedDevice+10*scIndex), int64(scIndex))
+	if err != nil {
+		return nil, err
 	}
-	global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, int64(scIndex))).ModelParams()
-	globalCopy := append([]float64(nil), global...)
-	if err := fed.RunParallel(globalCopy, clients, o.Rounds, o.workers(), nil); err != nil {
+	if err := fed.RunParallel(global, clients, o.Rounds, o.workers(), nil); err != nil {
 		return nil, fmt.Errorf("experiment: federated training scenario %s: %w", sc.Name, err)
 	}
-	return globalCopy, nil
+	return global, nil
 }
 
 // BudgetEval summarises a policy's behaviour under one power budget.

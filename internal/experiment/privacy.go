@@ -89,21 +89,19 @@ func RunPrivacy(o Options) (*PrivacyResult, error) {
 	out.Local = ArchEval{Name: "local-only", AvgReward: localAgg.Mean()}
 
 	// --- Federated (ours): model parameters only. ------------------------
-	fedClients := make([]fed.Client, len(deviceSpecs))
-	for i, specs := range deviceSpecs {
-		fedClients[i] = newNeuralDevice(o, int64(idFedDevice+i+1000), specs)
+	fedClients, global, err := newFederation(o, sc, idFedDevice+1000, 1000)
+	if err != nil {
+		return nil, err
 	}
-	global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, 1000)).ModelParams()
-	globalCopy := append([]float64(nil), global...)
-	if err := fed.RunParallel(globalCopy, fedClients, o.Rounds, o.workers(), nil); err != nil {
+	if err := fed.RunParallel(global, fedClients, o.Rounds, o.workers(), nil); err != nil {
 		return nil, fmt.Errorf("experiment: privacy federated training: %w", err)
 	}
 	// Per round and device: one model down, one model up.
 	transfers := int64(o.Rounds) * int64(len(fedClients)) * 2
 	out.Federated = ArchEval{
 		Name:       "federated (ours)",
-		AvgReward:  evalModel(globalCopy, 9200),
-		TotalBytes: transfers * int64(fed.TransferSize(len(globalCopy))),
+		AvgReward:  evalModel(global, 9200),
+		TotalBytes: transfers * int64(fed.TransferSize(len(global))),
 	}
 
 	// --- Central (server-side learning, [7]): raw samples up, model down.

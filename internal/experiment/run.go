@@ -129,6 +129,23 @@ const (
 	idEval        = 1000
 )
 
+// newFederation builds a scenario's federated arm: one training client per
+// device — device i drawing from seed stream deviceBase+i — and the initial
+// global model, taken from a throwaway controller seeded by the
+// (idFedInit, initID) stream. The caller owns the returned model.
+func newFederation(o Options, sc Scenario, deviceBase, initID int64) ([]fed.Client, []float64, error) {
+	clients := make([]fed.Client, len(sc.Devices))
+	for i, names := range sc.Devices {
+		specs, err := workload.ByNames(names...)
+		if err != nil {
+			return nil, nil, err
+		}
+		clients[i] = newNeuralDevice(o, deviceBase+int64(i), specs)
+	}
+	global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, initID)).ModelParams()
+	return clients, append([]float64(nil), global...), nil
+}
+
 // RunScenario trains and evaluates one Table II scenario in both regimes:
 //
 //   - federated: all devices collaboratively optimise one shared policy
@@ -160,17 +177,11 @@ func RunScenario(o Options, scIndex int, sc Scenario) (*ScenarioResult, error) {
 
 	runFederated := func() error {
 		// Federated training: one shared model across all devices.
-		fedClients := make([]fed.Client, len(sc.Devices))
-		for i, names := range sc.Devices {
-			specs, err := workload.ByNames(names...)
-			if err != nil {
-				return err
-			}
-			fedClients[i] = newNeuralDevice(o, int64(idFedDevice+i+10*scIndex), specs)
+		fedClients, global, err := newFederation(o, sc, int64(idFedDevice+10*scIndex), int64(scIndex))
+		if err != nil {
+			return err
 		}
-		global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, int64(scIndex))).ModelParams()
-		globalCopy := append([]float64(nil), global...)
-		err := fed.RunParallel(globalCopy, fedClients, o.Rounds, o.workers(), func(round int, g []float64) {
+		err = fed.RunParallel(global, fedClients, o.Rounds, o.workers(), func(round int, g []float64) {
 			spec := evalSpec(round)
 			pol := NewNeuralPolicy(o.Core, g)
 			res := evaluate(o, pol, spec, false, idEval, int64(scIndex), 0, int64(round))

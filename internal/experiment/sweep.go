@@ -9,11 +9,9 @@ package experiment
 import (
 	"fmt"
 
-	"fedpower/internal/core"
 	"fedpower/internal/fed"
 	"fedpower/internal/par"
 	"fedpower/internal/stats"
-	"fedpower/internal/workload"
 )
 
 // SweepPoint is one configuration in a sweep.
@@ -70,23 +68,17 @@ func RunSweep(o Options, dimension string, points []SweepPoint) (*SweepResult, e
 			return fmt.Errorf("experiment: sweep point %s: %w", pt.Label, err)
 		}
 
-		clients := make([]fed.Client, len(sc.Devices))
-		for i, names := range sc.Devices {
-			specs, err := workload.ByNames(names...)
-			if err != nil {
-				return err
-			}
-			clients[i] = newNeuralDevice(po, int64(8000+100*pi+i), specs)
+		clients, global, err := newFederation(po, sc, int64(8000+100*pi), int64(8000+pi))
+		if err != nil {
+			return err
 		}
-		global := core.NewController(po.Core, newRNG(po.Seed, idFedInit, int64(8000+pi))).ModelParams()
-		globalCopy := append([]float64(nil), global...)
-		if err := fed.RunParallel(globalCopy, clients, po.Rounds, po.workers(), nil); err != nil {
+		if err := fed.RunParallel(global, clients, po.Rounds, po.workers(), nil); err != nil {
 			return fmt.Errorf("experiment: sweep point %s: %w", pt.Label, err)
 		}
 
 		var agg stats.Running
 		for appIdx, spec := range EvalApps() {
-			res := evaluate(po, NewNeuralPolicy(po.Core, globalCopy), spec, false, 8500, int64(pi), int64(appIdx))
+			res := evaluate(po, NewNeuralPolicy(po.Core, global), spec, false, 8500, int64(pi), int64(appIdx))
 			agg.Add(res.AvgReward)
 		}
 		out.Labels[pi] = pt.Label

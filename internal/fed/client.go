@@ -74,15 +74,11 @@ func DialCodec(addr string, id uint32, codec Codec) (*Conn, error) {
 	return c, nil
 }
 
-// NewConn wraps an established transport connection (the seam the
-// fault-injection harness uses) and sends the join frame identifying this
-// device to the server, using the dense codec.
-func NewConn(conn net.Conn, id uint32) (*Conn, error) {
-	return NewConnCodec(conn, id, Codec{})
-}
-
-// NewConnCodec is NewConn with an explicit parameter codec. The codec's
-// wire ID travels in the join frame; dense joins are byte-identical to the
+// NewConnCodec wraps an established transport connection — the seam
+// Participant.Dialer feeds, which is how the fault-injection harness puts
+// its wrapped sockets under the protocol — and sends the join frame
+// identifying this device to the server. The codec's wire ID travels in
+// the join frame; dense (and zero-Codec) joins are byte-identical to the
 // pre-codec protocol.
 func NewConnCodec(conn net.Conn, id uint32, codec Codec) (*Conn, error) {
 	c := &Conn{

@@ -1,20 +1,53 @@
 // Package fed implements the paper's federated policy optimisation
 // (Algorithm 2, federated averaging after McMahan et al.): a central
 // aggregation server and N homogeneous clients alternate, over R rounds,
-// between local policy optimisation on each device and synchronous,
-// unweighted parameter averaging on the server.
+// between local policy optimisation on each device and synchronous
+// parameter averaging on the server.
 //
-// Two transports are provided. The in-process orchestrator (Run) executes
-// clients deterministically and is what the experiment harness uses. The TCP
-// transport (Server/Dial) runs the identical protocol across real processes
-// and sockets — the deployment shape of the paper, one process per edge
-// device — exchanging parameter frames under a negotiated codec (codec.go):
-// dense float32 by default, whose size matches the paper's reported 2.8 kB
-// per transfer, with opt-in bit-exact delta and lossy quantized-delta
-// encodings that cut the model-bearing bytes 2–4×. RunParallelCodec (and
-// RunConfig.Codec) thread the same codec through the in-process
-// orchestrator, emulating the wire's float32 semantics exactly — a dense or
-// delta in-process run is bit-identical to the TCP run with the same codec.
+// # Round engines
+//
+// Algorithm 2 is one loop — broadcast θ_r, every device optimises locally,
+// average, repeat — and the package spells it exactly twice, once per
+// transport:
+//
+//   - Function-call transport: engine.run (this file). Run, RunParallel,
+//     RunParallelCodec, RunWeighted, RunSampled, RunWithConfig and RunTree
+//     are argument validation plus one call into it; what distinguishes
+//     them is data on the engine value — the cohort (everyone, or a seeded
+//     per-round draw expressed as a per-client sit-out mask), the failure
+//     policy and quorum, the per-client codec link, and the aggregation
+//     rule (nn.AverageParams, nn.WeightedAverageParams, or a topology's
+//     exact subtree sums rounded once at the root). Every failure it
+//     returns is a *RoundError naming round, phase and client. It is
+//     deterministic at any width and is what the experiment harness uses.
+//   - Socket transport: Server.round over a session (server.go), shared
+//     verbatim by Server.Serve and Aggregator. It runs the identical
+//     protocol across real processes — the deployment shape of the paper,
+//     one process per edge device.
+//
+// The two stay separate on purpose. A function-call exchange is one
+// fallible step per client, so the in-process round is a single
+// par.ForEach fan-out. A socket round must issue every broadcast write
+// before it waits on any update, so that all clients' deadline windows
+// overlap instead of queueing behind the slowest link: broadcast and
+// collect are two fan-outs with the drop/quorum decision between them, run
+// on a persistent par.Pool over cap-guarded session scratch so that a
+// steady-state round allocates nothing (BenchmarkServerRound gates 0
+// allocs/op). Folding both behind one per-link "exchange" would make the
+// shared loop branch on which transport called it — and cost the TCP round
+// either its overlap or its allocation bound.
+//
+// What the engines share is everything below the loop: the Client
+// interface, the parameter codec and its per-link per-direction state
+// (codec.go: dense float32 by default, whose size matches the paper's
+// reported 2.8 kB per transfer, with opt-in bit-exact delta and lossy
+// quantized-delta encodings that cut the model-bearing bytes 2–4×), the
+// exact accumulator arithmetic of internal/nn, the quorum rule, the
+// RoundHook, and the *RoundError / Phase vocabulary. That is why a dense or
+// delta in-process run (RunParallelCodec, RunConfig.Codec,
+// TreeConfig.Codec) is bit-identical to the TCP federation under the same
+// codec, and why any aggregation tree on either transport reproduces the
+// flat federation bit-for-bit.
 //
 // # Fault tolerance
 //
@@ -41,31 +74,43 @@
 //     capped exponential backoff with seeded jitter) is admitted into the
 //     pool at the next round boundary and receives that round's broadcast.
 //
-// The in-process orchestrator mirrors these semantics: RunWithConfig
-// applies the same quorum rule with a ClientErrorPolicy deciding whether a
-// failing client aborts the run (FailFast) or just sits the round out
-// (DropRound).
+// The in-process engine mirrors these semantics: RunWithConfig applies the
+// same quorum rule with a ClientErrorPolicy deciding whether a failing
+// client aborts the run (FailFast) or just sits the round out (DropRound).
 //
 // # Goroutine ownership
 //
-// The TCP transport follows strict ownership rules, machine-checked where
-// possible by the golaunch analyzer (cmd/fedlint):
+// Both engines follow strict ownership rules, machine-checked where
+// possible by the golaunch and slotrace analyzers (cmd/fedlint):
 //
+//   - The in-process engine launches nothing itself. Its one fan-out is a
+//     par.ForEach whose task writes only state selected by its own index
+//     (its update slot, its drop record, its codec link) and reads only
+//     the round's broadcast snapshot and sit-out mask; ForEach's join is
+//     the happens-before edge that publishes the slots to the aggregation,
+//     which consumes them in client order. Hooks run on the calling
+//     goroutine.
 //   - Server.Serve owns every connection and the accept loop. The accept
-//     loop is launched once per Serve, owns the listener until it closes,
-//     and hands joined connections to Serve through a channel it closes on
-//     exit; Serve closes the listener on return and drains that channel,
-//     so the loop can never outlive Serve nor leak a connection.
-//   - Phase workers are launched only inside broadcast/collect, one per
-//     client per phase, always joined through a sync.WaitGroup before the
-//     phase's results are read; none outlives its round, and all loop
-//     state a worker needs (client index, connection, round number) is
-//     passed as arguments at launch, never captured.
-//   - Workers write only to their own index of a pre-sized results slice
-//     (errs[i], sent[i], updates[i]); the WaitGroup join is the
-//     happens-before edge that publishes those writes to Serve.
-//   - Shared counters (bytesSent, bytesRecv, drops, rejoins) are mutated
-//     only under Server.mu; the OnDrop observer runs on the Serve
+//     loop is launched once per session, owns the listener until it
+//     closes, and hands joined connections to the session through a
+//     channel it closes on exit; closing the session closes the listener
+//     and drains that channel, so the loop can never outlive Serve nor
+//     leak a connection.
+//   - Round workers are a persistent par.Pool spawned once per session and
+//     parked on a channel between phases — no goroutine is launched per
+//     round. The pool's task is bound once; the coordinating goroutine
+//     writes a phase's inputs (phase, frame, round, shape, shard count)
+//     strictly before Pool.Run and reads the slots strictly after it, the
+//     pool's release and join edges ordering both directions.
+//   - Workers write only state selected by their own index: errs[i],
+//     ns[i], updates[i], chunkLeaves[i], shards[i], and the connection
+//     state (codec shadows, scratch, reusable message) reached through
+//     pool[i]. Drops, admits and the quorum decision happen on the
+//     coordinating goroutine after the join.
+//   - Counters (bytes, drops, rejoins, leaves) accumulate in the session's
+//     roundStats on the coordinating goroutine only and are published
+//     under Server.mu once per round by flushStats; the parallel phases
+//     never touch the mutex. The OnDrop observer runs on the coordinating
 //     goroutine only.
 //   - The client side (Conn, Participant) is single-goroutine by
 //     construction: Dial, Participate, Run and Close must be called from
@@ -74,6 +119,7 @@ package fed
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fedpower/internal/nn"
@@ -103,6 +149,173 @@ func (f ClientFunc) TrainRound(round int, global []float64) ([]float64, error) {
 // per-round greedy evaluation of §IV-A. The slice must not be retained.
 type RoundHook func(round int, global []float64)
 
+// engine is the in-process round loop's per-run data: everything the
+// exported Run* entry points differ in. aggregate is required; the zero
+// value of every other field is the paper's setting — every client every
+// round, sequential, raw float64 exchange, abort on the first failure.
+type engine struct {
+	rounds int
+	width  int // clients training concurrently within a round; <= 1 is sequential
+	codec  Codec
+	hook   RoundHook
+	// rng, when non-nil, draws each round's cohort: every client joins
+	// independently with probability fraction, the rest sit the round out.
+	rng      *rand.Rand
+	fraction float64
+	// dropRound makes a failing client sit the round out instead of
+	// aborting the run; the round then commits iff quorum updates survived.
+	dropRound bool
+	quorum    int
+	// aggregate overwrites dst (the global model) with the round's
+	// surviving updates, given in client order, folded by the run's rule.
+	aggregate func(dst []float64, locals [][]float64) error
+}
+
+// flatMean is the paper's aggregation rule: the unweighted mean, through
+// nn.AverageParams' single stack accumulator.
+func flatMean(dst []float64, locals [][]float64) error {
+	nn.AverageParams(dst, locals...)
+	return nil
+}
+
+// run executes Algorithm 2 over function-call links, starting from (and
+// finally overwriting) global:
+//
+//	for r = 1..R:
+//	    broadcast θ_r to the round's cohort
+//	    each client locally optimises and returns θ_r^n
+//	    θ_{r+1} = aggregate of the survivors' θ_r^n
+//
+// Up to width clients train concurrently; each writes only its own update
+// slot, drop record and codec link and reads only the shared broadcast
+// snapshot and sit-out mask, and the aggregation consumes the slots in
+// client order after the fan-out has joined — so the run is bit-identical
+// at every width. Every failure is a *RoundError.
+func (e engine) run(global []float64, clients []Client) error {
+	if len(clients) == 0 {
+		return fmt.Errorf("fed: no clients")
+	}
+	if e.rounds <= 0 {
+		return fmt.Errorf("fed: round count %d must be positive", e.rounds)
+	}
+	slots := make([][]float64, len(clients))
+	for i := range slots {
+		slots[i] = make([]float64, len(global))
+	}
+	links := newCodecLinks(e.codec, len(clients))
+	broadcast := make([]float64, len(global))
+	sitOut := make([]bool, len(clients))
+	dropped := make([]error, len(clients))
+	locals := make([][]float64, 0, len(clients))
+	dropRound := e.dropRound // the task captures one bool, not a copy of e
+	for r := 1; r <= e.rounds; r++ {
+		copy(broadcast, global)
+		if e.rng != nil {
+			drawCohort(sitOut, e.fraction, e.rng)
+		}
+		err := par.ForEach(e.width, len(clients), func(i int) error {
+			dropped[i] = nil
+			if sitOut[i] {
+				return nil
+			}
+			view := broadcast
+			if links != nil {
+				// Wire emulation: the client sees the decoded broadcast, as
+				// over TCP. A codec failure is a harness bug, not a flaky
+				// device, so it aborts regardless of the error policy.
+				var cerr error
+				if view, cerr = links[i].broadcast(broadcast); cerr != nil {
+					return &RoundError{Round: r, Phase: PhaseBroadcast, Client: i, Err: cerr}
+				}
+			}
+			updated, err := clients[i].TrainRound(r, view)
+			if err == nil && len(updated) != len(global) {
+				err = fmt.Errorf("returned %d params, want %d", len(updated), len(global))
+			}
+			if err != nil {
+				wrapped := &RoundError{Round: r, Phase: PhaseTrain, Client: i, Err: err}
+				if !dropRound {
+					return wrapped
+				}
+				// Absorb the failure in the client's own slot and let the
+				// quorum decision below judge the joined round.
+				dropped[i] = wrapped
+				return nil
+			}
+			if links != nil {
+				decoded, cerr := links[i].update(updated)
+				if cerr != nil {
+					return &RoundError{Round: r, Phase: PhaseCollect, Client: i, Err: cerr}
+				}
+				updated = decoded
+			}
+			copy(slots[i], updated)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		// Collect survivors in stable client order — the order, not the
+		// completion sequence, determines the average.
+		locals = locals[:0]
+		var firstErr error
+		for i := range clients {
+			switch {
+			case sitOut[i]:
+				// Not drawn this round: neither a survivor nor a failure.
+			case dropped[i] == nil:
+				locals = append(locals, slots[i])
+			case firstErr == nil:
+				firstErr = dropped[i]
+			}
+		}
+		if len(locals) < e.quorum {
+			return &RoundError{Round: r, Phase: PhaseCollect, Client: -1,
+				Err: fmt.Errorf("%d of %d clients delivered, quorum %d: %w",
+					len(locals), len(clients), e.quorum, firstErr)}
+		}
+		if err := e.aggregate(global, locals); err != nil {
+			return &RoundError{Round: r, Phase: PhaseCollect, Client: -1, Err: err}
+		}
+		if e.hook != nil {
+			e.hook(r, global)
+		}
+	}
+	return nil
+}
+
+// drawCohort marks who sits the next round out: every client joins
+// independently with probability fraction — one Float64 per client, in
+// client order — and when nobody was drawn one client is picked uniformly,
+// because an empty round would stall the protocol.
+func drawCohort(sitOut []bool, fraction float64, rng *rand.Rand) {
+	drawn := 0
+	for i := range sitOut {
+		sitOut[i] = rng.Float64() >= fraction
+		if !sitOut[i] {
+			drawn++
+		}
+	}
+	if drawn == 0 {
+		sitOut[rng.Intn(len(sitOut))] = false
+	}
+}
+
+// newCodecLinks builds one wire-emulation link per client for an active
+// codec, or nil when the codec is the zero value (raw float64 exchange).
+// Each link is touched only by its own client's worker goroutine, so the
+// emulated wire is race-free at any parallel width.
+func newCodecLinks(codec Codec, n int) []*codecLink {
+	if !codec.active() {
+		return nil
+	}
+	links := make([]*codecLink, n)
+	for i := range links {
+		links[i] = newCodecLink(codec, i)
+	}
+	return links
+}
+
 // Run executes R rounds of federated averaging over the given clients,
 // starting from (and finally overwriting) the global parameter vector:
 //
@@ -116,7 +329,7 @@ type RoundHook func(round int, global []float64)
 // parallel execution because FedAvg only consumes the end-of-round
 // parameters. hook may be nil.
 func Run(global []float64, clients []Client, rounds int, hook RoundHook) error {
-	return RunParallel(global, clients, rounds, 1, hook)
+	return RunParallelCodec(global, clients, rounds, 1, Codec{}, hook)
 }
 
 // RunParallel is Run with up to width clients training concurrently within
@@ -129,13 +342,7 @@ func Run(global []float64, clients []Client, rounds int, hook RoundHook) error {
 // devices derive independent RNG streams per client). width <= 1 runs
 // sequentially; hook always runs on the calling goroutine.
 func RunParallel(global []float64, clients []Client, rounds, width int, hook RoundHook) error {
-	if len(clients) == 0 {
-		return fmt.Errorf("fed: no clients")
-	}
-	if rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", rounds)
-	}
-	return run(global, clients, nil, rounds, width, Codec{}, hook)
+	return RunParallelCodec(global, clients, rounds, width, Codec{}, hook)
 }
 
 // RunParallelCodec is RunParallel with every client's exchange passed
@@ -147,41 +354,33 @@ func RunParallel(global []float64, clients []Client, rounds, width int, hook Rou
 // is bit-identical to the TCP federation under the same codec at any width.
 // The zero Codec disables emulation, making this identical to RunParallel.
 func RunParallelCodec(global []float64, clients []Client, rounds, width int, codec Codec, hook RoundHook) error {
-	if len(clients) == 0 {
-		return fmt.Errorf("fed: no clients")
-	}
-	if rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", rounds)
-	}
-	return run(global, clients, nil, rounds, width, codec, hook)
+	return engine{rounds: rounds, width: width, codec: codec, hook: hook, aggregate: flatMean}.run(global, clients)
 }
 
 // RunWeighted is Run with per-client aggregation weights — the original
 // FedAvg formulation, where each client counts proportionally to its local
-// sample volume. Weights must be non-negative with a positive sum. The
-// paper's protocol is the unweighted special case ("it is unweighted,
-// giving the same importance to each client", §III-B).
+// sample volume. Weights must be finite and non-negative with a positive,
+// finite sum. The paper's protocol is the unweighted special case ("it is
+// unweighted, giving the same importance to each client", §III-B).
 func RunWeighted(global []float64, clients []Client, weights []float64, rounds int, hook RoundHook) error {
-	if len(clients) == 0 {
-		return fmt.Errorf("fed: no clients")
-	}
-	if rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", rounds)
-	}
 	if len(weights) != len(clients) {
 		return fmt.Errorf("fed: %d weights for %d clients", len(weights), len(clients))
 	}
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 {
-			return fmt.Errorf("fed: negative weight %v for client %d", w, i)
+		// Written so NaN fails too: every comparison with NaN is false.
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("fed: weight %v for client %d is not a finite non-negative number", w, i)
 		}
 		total += w
 	}
-	if total <= 0 {
-		return fmt.Errorf("fed: aggregation weights sum to zero")
+	if total <= 0 || math.IsInf(total, 1) {
+		return fmt.Errorf("fed: aggregation weights sum to %v, want a positive finite total", total)
 	}
-	return run(global, clients, weights, rounds, 1, Codec{}, hook)
+	return engine{rounds: rounds, hook: hook, aggregate: func(dst []float64, locals [][]float64) error {
+		nn.WeightedAverageParams(dst, locals, weights)
+		return nil
+	}}.run(global, clients)
 }
 
 // RunSampled executes federated averaging with partial participation: each
@@ -192,49 +391,13 @@ func RunWeighted(global []float64, clients []Client, weights []float64, rounds i
 // participates in all R rounds" — is fraction = 1. Sampling draws from rng
 // so runs are reproducible.
 func RunSampled(global []float64, clients []Client, fraction float64, rounds int, rng *rand.Rand, hook RoundHook) error {
-	if len(clients) == 0 {
-		return fmt.Errorf("fed: no clients")
-	}
-	if rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", rounds)
-	}
 	if fraction <= 0 || fraction > 1 {
 		return fmt.Errorf("fed: participation fraction %v out of (0,1]", fraction)
 	}
 	if rng == nil {
 		return fmt.Errorf("fed: RunSampled requires a random source")
 	}
-
-	locals := make([][]float64, 0, len(clients))
-	broadcast := make([]float64, len(global))
-	for r := 1; r <= rounds; r++ {
-		copy(broadcast, global)
-		locals = locals[:0]
-		participating := make([]int, 0, len(clients))
-		for i := range clients {
-			if rng.Float64() < fraction {
-				participating = append(participating, i)
-			}
-		}
-		if len(participating) == 0 {
-			participating = append(participating, rng.Intn(len(clients)))
-		}
-		for _, i := range participating {
-			updated, err := clients[i].TrainRound(r, broadcast)
-			if err != nil {
-				return fmt.Errorf("fed: round %d client %d: %w", r, i, err)
-			}
-			if len(updated) != len(global) {
-				return fmt.Errorf("fed: round %d client %d returned %d params, want %d", r, i, len(updated), len(global))
-			}
-			locals = append(locals, append([]float64(nil), updated...))
-		}
-		nn.AverageParams(global, locals...)
-		if hook != nil {
-			hook(r, global)
-		}
-	}
-	return nil
+	return engine{rounds: rounds, hook: hook, rng: rng, fraction: fraction, aggregate: flatMean}.run(global, clients)
 }
 
 // ClientErrorPolicy decides what RunWithConfig does when a client's
@@ -285,12 +448,6 @@ type RunConfig struct {
 // least Quorum updates succeeded, averaging exactly the survivors. A round
 // below quorum aborts with a *RoundError wrapping the first client failure.
 func RunWithConfig(global []float64, clients []Client, cfg RunConfig) error {
-	if len(clients) == 0 {
-		return fmt.Errorf("fed: no clients")
-	}
-	if cfg.Rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", cfg.Rounds)
-	}
 	if cfg.Quorum < 0 || cfg.Quorum > len(clients) {
 		return fmt.Errorf("fed: quorum %d out of [0,%d]", cfg.Quorum, len(clients))
 	}
@@ -298,148 +455,6 @@ func RunWithConfig(global []float64, clients []Client, cfg RunConfig) error {
 	if quorum == 0 {
 		quorum = len(clients)
 	}
-
-	broadcast := make([]float64, len(global))
-	locals := make([][]float64, 0, len(clients))
-	slots := make([][]float64, len(clients))
-	for i := range slots {
-		slots[i] = make([]float64, len(global))
-	}
-	links := newCodecLinks(cfg.Codec, len(clients))
-	clientErrs := make([]error, len(clients))
-	for r := 1; r <= cfg.Rounds; r++ {
-		copy(broadcast, global)
-		err := par.ForEach(cfg.Parallelism, len(clients), func(i int) error {
-			clientErrs[i] = nil
-			view := broadcast
-			if links != nil {
-				// Wire emulation: the client sees the decoded broadcast, as
-				// over TCP. A codec failure is a harness bug, not a flaky
-				// device, so it aborts regardless of the error policy.
-				var cerr error
-				if view, cerr = links[i].broadcast(broadcast); cerr != nil {
-					return &RoundError{Round: r, Phase: PhaseBroadcast, Client: i, Err: cerr}
-				}
-			}
-			updated, err := clients[i].TrainRound(r, view)
-			if err == nil && len(updated) != len(global) {
-				err = fmt.Errorf("returned %d params, want %d", len(updated), len(global))
-			}
-			if err != nil {
-				wrapped := &RoundError{Round: r, Phase: PhaseTrain, Client: i, Err: err}
-				if cfg.OnClientError == FailFast {
-					return wrapped
-				}
-				// DropRound absorbs the failure: record it in the
-				// client's slot and let the quorum decision below judge
-				// the joined round.
-				clientErrs[i] = wrapped
-				return nil
-			}
-			if links != nil {
-				decoded, cerr := links[i].update(updated)
-				if cerr != nil {
-					return &RoundError{Round: r, Phase: PhaseCollect, Client: i, Err: cerr}
-				}
-				updated = decoded
-			}
-			copy(slots[i], updated)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		// Collect survivors in stable client order — the order, not the
-		// completion sequence, determines the average.
-		locals = locals[:0]
-		var firstErr error
-		for i := range clients {
-			if clientErrs[i] != nil {
-				if firstErr == nil {
-					firstErr = clientErrs[i]
-				}
-				continue
-			}
-			locals = append(locals, slots[i])
-		}
-		if len(locals) < quorum {
-			return &RoundError{Round: r, Phase: PhaseCollect, Client: -1,
-				Err: fmt.Errorf("%d of %d clients delivered, quorum %d: %w",
-					len(locals), len(clients), quorum, firstErr)}
-		}
-		nn.AverageParams(global, locals...)
-		if cfg.Hook != nil {
-			cfg.Hook(r, global)
-		}
-	}
-	return nil
-}
-
-// newCodecLinks builds one wire-emulation link per client for an active
-// codec, or nil when the codec is the zero value (raw float64 exchange).
-// Each link is touched only by its own client's worker goroutine, so the
-// emulated wire is race-free at any parallel width.
-func newCodecLinks(codec Codec, n int) []*codecLink {
-	if !codec.active() {
-		return nil
-	}
-	links := make([]*codecLink, n)
-	for i := range links {
-		links[i] = newCodecLink(codec, i)
-	}
-	return links
-}
-
-// run drives the round loop; a nil weights slice selects the unweighted
-// average. Within a round, up to width clients train concurrently; each
-// writes only its own locals slot (and its own codec link, under wire
-// emulation) and reads only the shared broadcast snapshot, and the
-// aggregation averages the slots in client order after the pool has joined.
-func run(global []float64, clients []Client, weights []float64, rounds, width int, codec Codec, hook RoundHook) error {
-	locals := make([][]float64, len(clients))
-	for i := range locals {
-		locals[i] = make([]float64, len(global))
-	}
-	links := newCodecLinks(codec, len(clients))
-	broadcast := make([]float64, len(global))
-	for r := 1; r <= rounds; r++ {
-		copy(broadcast, global)
-		err := par.ForEach(width, len(clients), func(i int) error {
-			view := broadcast
-			if links != nil {
-				var cerr error
-				if view, cerr = links[i].broadcast(broadcast); cerr != nil {
-					return fmt.Errorf("fed: round %d client %d: %w", r, i, cerr)
-				}
-			}
-			updated, err := clients[i].TrainRound(r, view)
-			if err != nil {
-				return fmt.Errorf("fed: round %d client %d: %w", r, i, err)
-			}
-			if len(updated) != len(global) {
-				return fmt.Errorf("fed: round %d client %d returned %d params, want %d", r, i, len(updated), len(global))
-			}
-			if links != nil {
-				decoded, cerr := links[i].update(updated)
-				if cerr != nil {
-					return fmt.Errorf("fed: round %d client %d: %w", r, i, cerr)
-				}
-				updated = decoded
-			}
-			copy(locals[i], updated)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if weights == nil {
-			nn.AverageParams(global, locals...)
-		} else {
-			nn.WeightedAverageParams(global, locals, weights)
-		}
-		if hook != nil {
-			hook(r, global)
-		}
-	}
-	return nil
+	return engine{rounds: cfg.Rounds, width: cfg.Parallelism, codec: cfg.Codec, hook: cfg.Hook,
+		dropRound: cfg.OnClientError == DropRound, quorum: quorum, aggregate: flatMean}.run(global, clients)
 }

@@ -3,6 +3,7 @@ package fed
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -193,6 +194,7 @@ func TestRunWeightedEqualWeightsMatchesRun(t *testing.T) {
 
 func TestRunWeightedValidation(t *testing.T) {
 	clients := []Client{constClient{[]float64{1}}}
+	two := []Client{constClient{[]float64{1}}, constClient{[]float64{2}}}
 	cases := []struct {
 		name    string
 		weights []float64
@@ -204,10 +206,18 @@ func TestRunWeightedValidation(t *testing.T) {
 		{"weight count mismatch", []float64{1, 2}, clients, 1},
 		{"negative weight", []float64{-1}, clients, 1},
 		{"zero weights", []float64{0}, clients, 1},
+		// NaN slips past `w < 0` and `total <= 0` alike and would turn the
+		// global model into NaN in round 1.
+		{"NaN weight", []float64{math.NaN()}, clients, 1},
+		{"NaN among valid weights", []float64{1, math.NaN()}, two, 1},
+		{"+Inf weight", []float64{math.Inf(1)}, clients, 1},
+		{"-Inf weight", []float64{math.Inf(-1)}, clients, 1},
+		{"finite weights overflowing the total", []float64{math.MaxFloat64, math.MaxFloat64}, two, 1},
 	}
 	for _, c := range cases {
-		if err := RunWeighted([]float64{0}, c.clients, c.weights, c.rounds, nil); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		global := []float64{0}
+		if err := RunWeighted(global, c.clients, c.weights, c.rounds, nil); err == nil {
+			t.Errorf("%s: accepted (global now %v)", c.name, global)
 		}
 	}
 }

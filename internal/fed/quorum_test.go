@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"fedpower/internal/nn"
@@ -150,24 +151,72 @@ func TestQuorumDroppedClientRejoins(t *testing.T) {
 	}
 }
 
+// TestRunWithConfigFailFastMatchesRun: every in-process entry point runs the
+// one round engine, so a client failing — or returning the wrong shape — in
+// round 2 surfaces identically everywhere: the cause stays reachable through
+// errors.Is and the failure carries round, phase and client index as a
+// *RoundError.
 func TestRunWithConfigFailFastMatchesRun(t *testing.T) {
+	entries := []struct {
+		name string
+		run  func(global []float64, clients []Client) error
+	}{
+		{"Run", func(g []float64, c []Client) error { return Run(g, c, 5, nil) }},
+		{"RunParallel/4", func(g []float64, c []Client) error { return RunParallel(g, c, 5, 4, nil) }},
+		{"RunParallelCodec/dense", func(g []float64, c []Client) error {
+			return RunParallelCodec(g, c, 5, 1, DenseCodec(), nil)
+		}},
+		{"RunWeighted", func(g []float64, c []Client) error {
+			return RunWeighted(g, c, []float64{1, 2, 3, 4}, 5, nil)
+		}},
+		{"RunSampled/1", func(g []float64, c []Client) error {
+			return RunSampled(g, c, 1, 5, rand.New(rand.NewSource(1)), nil)
+		}},
+		{"RunTree/2x2", func(g []float64, c []Client) error {
+			return RunTree(g, c, Uniform(2, 2), TreeConfig{Rounds: 5})
+		}},
+		{"RunWithConfig", func(g []float64, c []Client) error {
+			return RunWithConfig(g, c, RunConfig{Rounds: 5})
+		}},
+	}
 	sentinel := errors.New("device offline")
-	mk := func() []Client {
-		return []Client{addClient{2}, ClientFunc(func(round int, global []float64) ([]float64, error) {
+	failures := []struct {
+		name  string
+		cause error // what errors.Is must still find, if anything
+		bad   ClientFunc
+	}{
+		{"client error", sentinel, func(round int, global []float64) ([]float64, error) {
 			if round == 2 {
 				return nil, sentinel
 			}
 			return global, nil
-		})}
+		}},
+		{"wrong shape", nil, func(round int, global []float64) ([]float64, error) {
+			if round == 2 {
+				return make([]float64, len(global)+2), nil
+			}
+			return global, nil
+		}},
 	}
-	errRun := Run([]float64{0}, mk(), 5, nil)
-	errCfg := RunWithConfig([]float64{0}, mk(), RunConfig{Rounds: 5})
-	if !errors.Is(errRun, sentinel) || !errors.Is(errCfg, sentinel) {
-		t.Fatalf("errors do not wrap the client failure: Run=%v, RunWithConfig=%v", errRun, errCfg)
-	}
-	var re *RoundError
-	if !errors.As(errCfg, &re) || re.Round != 2 || re.Phase != PhaseTrain || re.Client != 1 {
-		t.Fatalf("RunWithConfig error lacks round/phase/client context: %v", errCfg)
+	const badClient = 2
+	for _, e := range entries {
+		for _, f := range failures {
+			t.Run(e.name+"/"+f.name, func(t *testing.T) {
+				clients := []Client{addClient{2}, addClient{4}, addClient{6}, addClient{8}}
+				clients[badClient] = f.bad
+				err := e.run([]float64{0}, clients)
+				if err == nil {
+					t.Fatal("run with a failing client succeeded")
+				}
+				if f.cause != nil && !errors.Is(err, f.cause) {
+					t.Fatalf("error %v does not wrap the client failure", err)
+				}
+				var re *RoundError
+				if !errors.As(err, &re) || re.Round != 2 || re.Phase != PhaseTrain || re.Client != badClient {
+					t.Fatalf("error lacks round 2 / train / client %d context: %v", badClient, err)
+				}
+			})
+		}
 	}
 }
 

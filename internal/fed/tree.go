@@ -191,7 +191,7 @@ func (st *treeState) sum(locals [][]float64, width int) (int, error) {
 			buf := c.acc[i].AppendWire(st.scratch[:0])
 			st.scratch = buf[:0]
 			if _, err := nn.DecodeAccumInto(&st.tmp, buf); err != nil {
-				return 0, fmt.Errorf("fed: relay hop: %w", err)
+				return 0, fmt.Errorf("relay hop: %w", err)
 			}
 			st.acc[i].AddAccum(&st.tmp)
 		}
@@ -202,16 +202,13 @@ func (st *treeState) sum(locals [][]float64, width int) (int, error) {
 
 // RunTree drives an in-process hierarchical federation: clients are
 // attached to the topology's leaf slots in depth-first order, each round
-// trains every leaf (up to Parallelism concurrently, own-slot discipline as
-// in run), sums each subtree exactly, merges the sub-sums upward through
-// emulated relay hops, and lets the root round the mean. The result is
-// bit-identical, every round, to Run / RunParallelCodec over the same
+// trains every leaf (up to Parallelism concurrently, on the one in-process
+// round engine), sums each subtree exactly, merges the sub-sums upward
+// through emulated relay hops, and lets the root round the mean. The result
+// is bit-identical, every round, to Run / RunParallelCodec over the same
 // clients in leaf order — the property TestTreeBitIdenticalRandomTopologies
 // pins inside the determinism gate.
 func RunTree(global []float64, clients []Client, topo *TreeNode, cfg TreeConfig) error {
-	if cfg.Rounds <= 0 {
-		return fmt.Errorf("fed: round count %d must be positive", cfg.Rounds)
-	}
 	if topo == nil {
 		return fmt.Errorf("fed: nil topology")
 	}
@@ -221,58 +218,15 @@ func RunTree(global []float64, clients []Client, topo *TreeNode, cfg TreeConfig)
 	if n := topo.LeafCount(); n != len(clients) {
 		return fmt.Errorf("fed: topology has %d leaves for %d clients", n, len(clients))
 	}
-	width := cfg.Parallelism
-	if width <= 0 {
-		width = 1
-	}
-
-	locals := make([][]float64, len(clients))
-	for i := range locals {
-		locals[i] = make([]float64, len(global))
-	}
-	links := newCodecLinks(cfg.Codec, len(clients))
-	broadcast := make([]float64, len(global))
 	var nextLeaf int
 	root := buildTreeState(topo, len(global), &nextLeaf)
-
-	for r := 1; r <= cfg.Rounds; r++ {
-		copy(broadcast, global)
-		err := par.ForEach(width, len(clients), func(i int) error {
-			view := broadcast
-			if links != nil {
-				var cerr error
-				if view, cerr = links[i].broadcast(broadcast); cerr != nil {
-					return fmt.Errorf("fed: round %d leaf %d: %w", r, i, cerr)
-				}
-			}
-			updated, err := clients[i].TrainRound(r, view)
+	return engine{rounds: cfg.Rounds, width: cfg.Parallelism, codec: cfg.Codec, hook: cfg.Hook,
+		aggregate: func(dst []float64, locals [][]float64) error {
+			total, err := root.sum(locals, cfg.Parallelism)
 			if err != nil {
-				return fmt.Errorf("fed: round %d leaf %d: %w", r, i, err)
+				return err
 			}
-			if len(updated) != len(global) {
-				return fmt.Errorf("fed: round %d leaf %d returned %d params, want %d", r, i, len(updated), len(global))
-			}
-			if links != nil {
-				decoded, cerr := links[i].update(updated)
-				if cerr != nil {
-					return fmt.Errorf("fed: round %d leaf %d: %w", r, i, cerr)
-				}
-				updated = decoded
-			}
-			copy(locals[i], updated)
+			nn.MeanAccum(dst, root.acc, total)
 			return nil
-		})
-		if err != nil {
-			return err
-		}
-		total, err := root.sum(locals, width)
-		if err != nil {
-			return err
-		}
-		nn.MeanAccum(global, root.acc, total)
-		if cfg.Hook != nil {
-			cfg.Hook(r, global)
-		}
-	}
-	return nil
+		}}.run(global, clients)
 }

@@ -24,24 +24,9 @@
 #                        a benchmark that no longer compiles or panics on
 #                        its first iteration fails the gate instead of
 #                        rotting until the next `make bench`
-#   8. determinism     — the resilience tests twice over (fault-injection
-#                        schedules and zero-fault TCP runs must replay
-#                        bit-identically), the parallel experiment
-#                        engine against sequential execution (bit-identical
-#                        at every pool width), the codec bit-identity
-#                        tests (dense and delta federations — in-process at
-#                        widths 1 and 8 and over TCP — must agree bit-for-bit),
-#                        the hierarchical-aggregation identity (randomized
-#                        in-process trees and 2-/3-level TCP fleets must
-#                        reproduce the flat federation bit-for-bit), plus
-#                        the batched-kernel identity (ForwardBatch /
-#                        BackwardBatch and the batched controller update
-#                        must reproduce the scalar kernels bit-for-bit,
-#                        including a whole Fig. 3 scenario), and the
-#                        parallel-aggregation identity (the server's round
-#                        workers at widths 1/2/8, per codec, and the TCP
-#                        tree deployment at Parallelism 4 must reproduce
-#                        the sequential runs bit-for-bit)
+#   8. determinism     — `make determinism`: the bit-identity and replay
+#                        tests, twice over; the Makefile holds the one
+#                        definition of the gate and says what it covers
 #   9. parallel smoke  — one multi-worker fleet-scale run through the
 #                        fedpower CLI (-parallel 4), exercising the whole
 #                        parallel aggregation plane end to end
@@ -86,8 +71,8 @@ go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/
 echo "==> go test -bench . -benchtime 1x (bench compile smoke)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 
-echo "==> go test -run 'Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical' -count=2 (determinism replay)"
-go test -run 'Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical' -count=2 ./internal/fed/... ./internal/experiment/... ./internal/nn/... ./internal/core/... .
+echo "==> make determinism (bit-identity and replay tests, -count=2)"
+make determinism
 
 echo "==> fedpower tree -parallel 4 (multi-worker fleet smoke)"
 go run ./cmd/fedpower -topology 1x48 -parallel 4 -rounds 2 -codec dense tree
