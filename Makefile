@@ -26,7 +26,7 @@ bench-lint:
 	go test -bench 'DefaultSuite|PrivacyTaint|WireBound' -benchmem -run XXX ./internal/lint/
 
 # Hot-path benchmark gate: runs BenchmarkControlStepLatency,
-# BenchmarkPolicyUpdate{,Batch}, BenchmarkReplayAdd and the
+# BenchmarkPolicyUpdate{,Batch}, BenchmarkAdamStep, BenchmarkReplayAdd and the
 # BenchmarkWire{Encode,Decode,RoundTrip} wire-path benchmarks with
 # -benchmem and -count=3 (gating on the per-benchmark minimum ns/op),
 # records BENCH_<date>.json and fails on a >20 % ns/op regression — or any
@@ -36,10 +36,11 @@ bench:
 	./scripts/benchdiff.sh
 
 # Training-kernel benchmarks only — the mini-batch policy update on the
-# batched kernels (its batch-size cost model) and the steady-state replay
+# batched kernels (its batch-size cost model), the optimiser step inside it
+# on a fresh and on a long-trained optimiser, and the steady-state replay
 # ring Add — the quick loop for kernel work, without the regression gate.
 bench-train:
-	go test -run '^$$' -bench 'BenchmarkPolicyUpdate$$|BenchmarkPolicyUpdateBatch$$|BenchmarkReplayAdd$$' -benchmem -count=3 .
+	go test -run '^$$' -bench 'BenchmarkPolicyUpdate$$|BenchmarkPolicyUpdateBatch$$|BenchmarkReplayAdd$$|BenchmarkAdamStep$$' -benchmem -count=3 . ./internal/nn
 
 test:
 	go test ./...
@@ -68,7 +69,13 @@ race:
 #   BatchBitIdentical          ForwardBatch/BackwardBatch, the batched
 #                              controller update and a whole Fig. 3 scenario
 #                              equal the scalar kernels
-DETERMINISM_TESTS := Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical
+#   AdamBitIdentical           Adam.Step, which skips parameters whose first
+#                              moment is stuck in the subnormal range, equals
+#                              the plain loop through a moment's whole life
+#   AgedControllerBitIdentical a controller trained for 150 000 steps takes
+#                              the same actions and ends on the same
+#                              parameters as one on the plain loop
+DETERMINISM_TESTS := Resilience|ParallelMatchesSequential|ParallelAggregation|CodecDenseBitIdentical|CodecDeltaBitIdentical|TreeBitIdentical|BatchBitIdentical|AdamBitIdentical|AgedControllerBitIdentical
 DETERMINISM_PKGS  := ./internal/fed/... ./internal/experiment/... ./internal/nn/... ./internal/core/... .
 
 determinism:

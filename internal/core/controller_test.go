@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fedpower/internal/nn"
+	"fedpower/internal/sim"
+	"fedpower/internal/workload"
 )
 
 func newTestController(t *testing.T) *Controller {
@@ -518,4 +522,98 @@ func TestUpdateAllocationFree(t *testing.T) {
 			t.Errorf("%s Update allocates %.1f times per call, want 0", tc.name, avg)
 		}
 	}
+}
+
+// plainAdam is nn.Adam's update as the plain loop, with none of the
+// stuck-moment skipping of nn.Adam.Step: the optimiser an aged controller
+// is compared against.
+type plainAdam struct {
+	nn.Adam
+	t    int
+	m, v []float64
+}
+
+func (a *plainAdam) Step(params, grad []float64) {
+	if len(a.m) != len(params) {
+		a.m = make([]float64, len(params))
+		a.v = make([]float64, len(params))
+		a.t = 0
+	}
+	a.t++
+	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	for i := range params {
+		g := grad[i]
+		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
+		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
+		mhat := a.m[i] / c1
+		vhat := a.v[i] / c2
+		params[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+	}
+}
+
+func (a *plainAdam) Reset() { a.m, a.v, a.t = nil, nil, 0 }
+
+// TestAgedControllerBitIdentical trains one controller for 150 000 control
+// steps of Algorithm 1 — built from public parts as examples/quickstart is —
+// well past update ≈ 6 640, where the first Adam moments of zero-gradient
+// parameters get stuck in the subnormal range and nn.Adam.Step starts
+// skipping them. The same run on the plain loop must take the same actions
+// and end on the same parameter bits. Part of the determinism replay gate.
+func TestAgedControllerBitIdentical(t *testing.T) {
+	const steps = 150000
+	run := func(opt nn.Optimizer) (*Controller, []uint8) {
+		table := sim.JetsonNanoTable()
+		p := Defaults(table.Len())
+		dev := sim.NewDevice(table, sim.DefaultPowerModel(), rand.New(rand.NewSource(1)))
+		c := NewController(p, rand.New(rand.NewSource(2)))
+		if opt != nil {
+			c.opt = opt
+		}
+		stream := workload.NewStream(rand.New(rand.NewSource(3)), workload.SPLASH2())
+		dev.Load(stream.Next())
+		dev.SetLevel(table.Len() / 2)
+		obs := dev.Step(0.5)
+		actions := make([]uint8, steps)
+		var state []float64
+		for i := range actions {
+			if dev.Done() {
+				dev.Load(stream.Next())
+			}
+			state = StateVector(obs, state)
+			a := c.SelectAction(state)
+			dev.SetLevel(a)
+			obs = dev.Step(0.5)
+			c.Observe(state, a, p.Reward.Reward(obs.NormFreq, obs.PowerW))
+			actions[i] = uint8(a)
+		}
+		return c, actions
+	}
+	plain := &plainAdam{Adam: *nn.NewAdam(Defaults(15).LearningRate)}
+	got, gotActions := run(nil)
+	want, wantActions := run(plain)
+
+	// β₁ = 0.9 leaves a decaying moment on 5·2⁻¹⁰⁷⁴ (1 … 5 are its fixed
+	// points); the comparison means nothing unless the run got there.
+	stuck := 0
+	for _, m := range plain.m {
+		if b := math.Float64bits(math.Abs(m)); b >= 1 && b <= 5 {
+			stuck++
+		}
+	}
+	if stuck < len(plain.m)/10 {
+		t.Fatalf("only %d of %d first moments are stuck after %d steps", stuck, len(plain.m), steps)
+	}
+	for i := range wantActions {
+		if gotActions[i] != wantActions[i] {
+			t.Fatalf("step %d: action %d, plain loop %d", i, gotActions[i], wantActions[i])
+		}
+	}
+	gp, wp := got.ModelParams(), want.ModelParams()
+	for i := range wp {
+		if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) {
+			t.Fatalf("params[%d] = %x, plain loop %x", i, gp[i], wp[i])
+		}
+	}
+	t.Logf("%d of %d first moments stuck", stuck, len(plain.m))
 }

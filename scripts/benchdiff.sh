@@ -10,6 +10,15 @@
 #   BenchmarkPolicyUpdateBatch  — the same update across batch sizes 32 /
 #                                 128 / 512 (the batched kernels' cost
 #                                 model); every size is gated
+#   BenchmarkAdamStep           — the optimiser step inside that update at
+#                                 687 parameters: fresh (every moment a
+#                                 normal number), stuck (first moments of the
+#                                 zero-gradient parameters on their subnormal
+#                                 fixed point, as after ≈ 7 000 updates) and
+#                                 stuckv (second moments too, ≈ 720 000
+#                                 updates); all gated, 0 allocs/op, and stuck
+#                                 must not be slower than fresh — a deployed
+#                                 controller's update does not slow down
 #   BenchmarkReplayAdd          — recording one interaction once the replay
 #                                 ring has wrapped; must stay 0 allocs/op
 #                                 (Add recycles the evicted state storage)
@@ -49,7 +58,9 @@
 #
 #   * ns/op regresses by more than BENCH_BUDGET_PCT percent (default 20), or
 #   * allocs/op increases at all (the training core is allocation-free;
-#     any new allocation in the hot loop is a regression by definition).
+#     any new allocation in the hot loop is a regression by definition), or
+#   * BenchmarkAdamStep/stuck is slower than BenchmarkAdamStep/fresh in this
+#     run (no baseline involved: both rows come from the same process).
 #
 # Refresh the baseline intentionally by copying a fresh BENCH_<date>.json
 # over BENCH_baseline.json in a reviewed commit. On a machine without a
@@ -57,15 +68,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN='BenchmarkControlStepLatency$|BenchmarkPolicyUpdate$|BenchmarkPolicyUpdateBatch$|BenchmarkReplayAdd$|BenchmarkWireEncode$|BenchmarkWireDecode$|BenchmarkWireRoundTrip$|BenchmarkTreeAggregate$|BenchmarkServerRound$|BenchmarkEffectAnalysis$|BenchmarkWireBound$'
+PATTERN='BenchmarkControlStepLatency$|BenchmarkPolicyUpdate$|BenchmarkPolicyUpdateBatch$|BenchmarkAdamStep$|BenchmarkReplayAdd$|BenchmarkWireEncode$|BenchmarkWireDecode$|BenchmarkWireRoundTrip$|BenchmarkTreeAggregate$|BenchmarkServerRound$|BenchmarkEffectAnalysis$|BenchmarkWireBound$'
 BUDGET_PCT="${BENCH_BUDGET_PCT:-20}"
 COUNT="${BENCH_COUNT:-3}"
 BASELINE="BENCH_baseline.json"
 TODAY="$(date +%Y-%m-%d)"
 OUT="BENCH_${TODAY}.json"
 
-echo "==> go test -bench '$PATTERN' -benchmem -count $COUNT . ./internal/fed ./internal/lint"
-RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "${BENCH_TIME:-1s}" -count "$COUNT" . ./internal/fed ./internal/lint)"
+echo "==> go test -bench '$PATTERN' -benchmem -count $COUNT . ./internal/nn ./internal/fed ./internal/lint"
+RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "${BENCH_TIME:-1s}" -count "$COUNT" . ./internal/nn ./internal/fed ./internal/lint)"
 echo "$RAW"
 
 # Render the `go test -bench` table as a small JSON document. Bench lines
@@ -135,7 +146,9 @@ fi
 fail=0
 for name in BenchmarkControlStepLatency BenchmarkPolicyUpdate \
             BenchmarkPolicyUpdateBatch/batch32 BenchmarkPolicyUpdateBatch/batch128 \
-            BenchmarkPolicyUpdateBatch/batch512 BenchmarkReplayAdd \
+            BenchmarkPolicyUpdateBatch/batch512 \
+            BenchmarkAdamStep/fresh BenchmarkAdamStep/stuck BenchmarkAdamStep/stuckv \
+            BenchmarkReplayAdd \
             BenchmarkWireEncode/dense BenchmarkWireDecode/dense BenchmarkWireRoundTrip/dense \
             BenchmarkTreeAggregate/fanout2 BenchmarkTreeAggregate/fanout4 \
             BenchmarkTreeAggregate/fanout8 BenchmarkTreeAggregate/fanout16 \
@@ -165,6 +178,18 @@ for name in BenchmarkControlStepLatency BenchmarkPolicyUpdate \
     echo "ok    $name: ${cur_ns} ns/op (${delta}% vs baseline), ${cur_allocs} allocs/op"
   fi
 done
+
+# The optimiser must not cost more on a long-trained controller than on a
+# fresh one: it skips the parameters whose moments are stuck, so it costs
+# less, and on the plain loop stuck reads 18x fresh.
+fresh_ns="$(json_field "$OUT" BenchmarkAdamStep/fresh ns_per_op)"
+stuck_ns="$(json_field "$OUT" BenchmarkAdamStep/stuck ns_per_op)"
+if awk -v s="$stuck_ns" -v f="$fresh_ns" 'BEGIN { exit !(s > f) }'; then
+  echo "FAIL  BenchmarkAdamStep/stuck: ${stuck_ns} ns/op is slower than BenchmarkAdamStep/fresh at ${fresh_ns} ns/op"
+  fail=1
+else
+  echo "ok    BenchmarkAdamStep/stuck: ${stuck_ns} ns/op <= BenchmarkAdamStep/fresh at ${fresh_ns} ns/op"
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "==> hot-path benchmark regression (budget +${BUDGET_PCT}% ns/op, no new allocs)"

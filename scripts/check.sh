@@ -19,7 +19,9 @@
 #                        decoders wirebound proves statically: readMessage
 #                        and the relay collect path; the checked-in
 #                        regression seeds under internal/fed/testdata/fuzz
-#                        always run as part of step 4
+#                        always run as part of step 4. Then the same over
+#                        Adam.Step against the plain loop it must equal bit
+#                        for bit, from raw (p, m, v, g) bit patterns
 #   7. bench compile   — every benchmark body runs once (-benchtime 1x), so
 #                        a benchmark that no longer compiles or panics on
 #                        its first iteration fails the gate instead of
@@ -62,9 +64,10 @@ go test -race ./...
 # hostile integer reaches an allocation unbounded; the fuzzer hammers the
 # same decode paths with mutated frames in case the model missed something.
 FUZZ_SMOKE="${FUZZ_SMOKE:-10}"
-echo "==> fuzz smoke (${FUZZ_SMOKE}s per wire decode target)"
+echo "==> fuzz smoke (${FUZZ_SMOKE}s per target)"
 go test -run '^$' -fuzz 'FuzzReadMessage$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
+go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
 # each keeps the bench suite (and its gated hot paths) from bit-rotting.
