@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the same gate CI runs.
 
-.PHONY: check build vet lint lint-sarif bench bench-lint bench-train test race determinism fuzz
+.PHONY: check build vet lint lint-sarif bench bench-lint test race determinism fuzz
 
 check:
 	./scripts/check.sh
@@ -20,27 +20,21 @@ lint:
 lint-sarif:
 	go run ./cmd/fedlint -sarif ./...
 
-# Benchmarks the analyzer suite (parse/type-check excluded) — the number
-# the fedlint wall-clock budget guards.
+# Benchmarks the analyzer suite and its three interprocedural passes
+# (parse/type-check excluded). Nothing compares these numbers: the gate on
+# analyzer runtime is FEDLINT_BUDGET, the wall-clock budget scripts/check.sh
+# puts on the fedlint step.
 bench-lint:
-	go test -bench 'DefaultSuite|PrivacyTaint|WireBound' -benchmem -run XXX ./internal/lint/
+	go test -bench 'DefaultSuite|PrivacyTaint|WireBound|EffectAnalysis' -benchmem -run XXX ./internal/lint/
 
-# Hot-path benchmark gate: runs BenchmarkControlStepLatency,
-# BenchmarkPolicyUpdate{,Batch}, BenchmarkAdamStep, BenchmarkReplayAdd and the
-# BenchmarkWire{Encode,Decode,RoundTrip} wire-path benchmarks with
-# -benchmem and -count=3 (gating on the per-benchmark minimum ns/op),
-# records BENCH_<date>.json and fails on a >20 % ns/op regression — or any
-# allocs/op increase — against the committed BENCH_baseline.json
-# (scripts/benchdiff.sh).
+# The speed gate: fedbench (bench/) on the last commit and on the working
+# tree, alternating, then `-compare` against the bounds of BENCHMARK.json —
+# exit 1 when the tree is slower. No stored numbers, no budget to set; for
+# another base run scripts/benchab.sh <rev>. That the hot paths allocate
+# nothing is not measured here but asserted by the AllocFree /
+# AllocationFree tests in `make test`.
 bench:
-	./scripts/benchdiff.sh
-
-# Training-kernel benchmarks only — the mini-batch policy update on the
-# batched kernels (its batch-size cost model), the optimiser step inside it
-# on a fresh and on a long-trained optimiser, and the steady-state replay
-# ring Add — the quick loop for kernel work, without the regression gate.
-bench-train:
-	go test -run '^$$' -bench 'BenchmarkPolicyUpdate$$|BenchmarkPolicyUpdateBatch$$|BenchmarkReplayAdd$$|BenchmarkAdamStep$$' -benchmem -count=3 . ./internal/nn
+	./scripts/benchab.sh HEAD
 
 test:
 	go test ./...

@@ -22,8 +22,7 @@ import (
 type CentralTrainer struct {
 	ctrl *core.Controller
 
-	samplesIngested int
-	rawBytes        int64
+	rawBytes int64
 }
 
 // RawSampleBytes is the on-wire footprint of one uploaded interaction
@@ -44,7 +43,6 @@ func (t *CentralTrainer) Ingest(samples []replay.Sample) {
 	for _, s := range samples {
 		t.ctrl.Observe(s.State, s.Action, s.Reward)
 	}
-	t.samplesIngested += len(samples)
 	t.rawBytes += int64(len(samples) * RawSampleBytes)
 }
 
@@ -54,9 +52,6 @@ func (t *CentralTrainer) Policy() []float64 { return t.ctrl.ModelParams() }
 
 // Controller exposes the underlying controller for diagnostics.
 func (t *CentralTrainer) Controller() *core.Controller { return t.ctrl }
-
-// SamplesIngested returns the total number of raw samples uploaded.
-func (t *CentralTrainer) SamplesIngested() int { return t.samplesIngested }
 
 // RawBytesReceived returns the total bytes of raw trace data that left the
 // devices — the privacy exposure of this architecture. The federated

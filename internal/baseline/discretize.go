@@ -56,12 +56,6 @@ func DefaultDiscretizer() Discretizer {
 	}
 }
 
-// NumStates returns the size of the discrete state space for a processor
-// with k V/f levels.
-func (d Discretizer) NumStates(k int) int {
-	return k * d.PowerBins * d.IPCBins * d.MPKIBins
-}
-
 func bin(x, max float64, bins int) uint8 {
 	if x <= 0 {
 		return 0

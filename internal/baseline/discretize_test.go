@@ -7,9 +7,9 @@ import (
 )
 
 func TestDefaultDiscretizerShape(t *testing.T) {
-	d := DefaultDiscretizer()
-	if got := d.NumStates(15); got != 15*12*8*8 {
-		t.Fatalf("NumStates = %d, want %d", got, 15*12*8*8)
+	want := Discretizer{PowerBins: 12, PowerMaxW: 1.5, IPCBins: 8, IPCMax: 2.0, MPKIBins: 8, MPKIMax: 30}
+	if got := DefaultDiscretizer(); got != want {
+		t.Fatalf("DefaultDiscretizer = %+v, want %+v", got, want)
 	}
 }
 

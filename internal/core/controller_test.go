@@ -498,15 +498,18 @@ func TestUpdateBatchBitIdentical(t *testing.T) {
 }
 
 // TestUpdateAllocationFree pins the training hot path's steady-state
-// allocation guarantee end to end for both Update implementations:
-// replay sampling, forward, loss, backward and the Adam step.
+// allocation guarantee end to end for both Update implementations —
+// replay sampling, forward, loss, backward and the Adam step — at the
+// paper's batch size and either side of it.
 func TestUpdateAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
+		batch  int
+	}{{"batched", false, 128}, {"scalar", true, 128}, {"batch32", false, 32}, {"batch512", false, 512}} {
 		p := Defaults(15)
 		p.ScalarUpdate = tc.scalar
+		p.BatchSize = tc.batch
 		p.OptimInterval = 1 << 30 // no automatic updates; we call Update directly
 		c := NewController(p, rand.New(rand.NewSource(13)))
 		env := rand.New(rand.NewSource(14))
@@ -521,6 +524,21 @@ func TestUpdateAllocationFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(50, c.Update); avg != 0 {
 			t.Errorf("%s Update allocates %.1f times per call, want 0", tc.name, avg)
 		}
+	}
+}
+
+// TestControlStepAllocationFree pins the other on-device cost of §IV-C: one
+// control decision — state build, inference, softmax sampling — allocates
+// nothing once the state vector exists.
+func TestControlStepAllocationFree(t *testing.T) {
+	c := NewController(Defaults(15), rand.New(rand.NewSource(13)))
+	obs := sim.Observation{NormFreq: 0.6, PowerW: 0.5, IPC: 1.2, MissRate: 0.05, MPKI: 6}
+	state := StateVector(obs, nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		state = StateVector(obs, state)
+		_ = c.SelectAction(state)
+	}); avg != 0 {
+		t.Errorf("StateVector+SelectAction allocates %.1f times per step, want 0", avg)
 	}
 }
 

@@ -218,10 +218,11 @@ func TestCodecQuantCutsBytesWithinNoise(t *testing.T) {
 	}
 
 	// Model-bearing bytes (frames minus protocol framing and codec
-	// metadata, the §IV-C metric) must shrink at least 4×.
+	// metadata, the §IV-C metric: 4 B per parameter dense, 1 B quant8) must
+	// shrink at least 4×.
 	msgs := int64(devices * (2*rounds + 1))
-	denseModel := dense.ServerBytesSent + dense.ServerBytesReceived - msgs*int64(fed.DenseCodec().TransferSize(n)-fed.DenseCodec().ModelBytes(n))
-	quantModel := q.ServerBytesSent + q.ServerBytesReceived - msgs*int64(quant.TransferSize(n)-quant.ModelBytes(n))
+	denseModel := dense.ServerBytesSent + dense.ServerBytesReceived - msgs*int64(fed.DenseCodec().TransferSize(n)-4*n)
+	quantModel := q.ServerBytesSent + q.ServerBytesReceived - msgs*int64(quant.TransferSize(n)-n)
 	if denseModel < 4*quantModel {
 		t.Errorf("quant8 moved %d model-bearing bytes vs dense %d — reduction %.2f×, want >= 4×",
 			quantModel, denseModel, float64(denseModel)/float64(quantModel))

@@ -67,32 +67,3 @@ func RecordPolicyEpisode(o Options, pol Policy, spec workload.Spec, rec trace.Re
 	}
 	return steps, nil
 }
-
-// ReplayEpisodeStats summarises a recorded trace: its length, mean power,
-// mean reward and budget violations — the consistency check used by the
-// trace tests and the CLI.
-type ReplayEpisodeStats struct {
-	Steps      int
-	MeanPowerW float64
-	MeanReward float64
-	Violations int
-}
-
-// SummariseTrace computes ReplayEpisodeStats over entries with the given
-// power budget.
-func SummariseTrace(entries []trace.Entry, budgetW float64) ReplayEpisodeStats {
-	var s ReplayEpisodeStats
-	s.Steps = len(entries)
-	for _, e := range entries {
-		s.MeanPowerW += e.PowerW
-		s.MeanReward += e.Reward
-		if e.PowerW > budgetW {
-			s.Violations++
-		}
-	}
-	if s.Steps > 0 {
-		s.MeanPowerW /= float64(s.Steps)
-		s.MeanReward /= float64(s.Steps)
-	}
-	return s
-}

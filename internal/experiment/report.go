@@ -93,13 +93,3 @@ func RewardSeries(evals []RoundEval) []float64 {
 	}
 	return out
 }
-
-// FreqSeries extracts the mean-normalised-frequency column from round
-// evaluations.
-func FreqSeries(evals []RoundEval) []float64 {
-	out := make([]float64, len(evals))
-	for i, e := range evals {
-		out[i] = e.MeanNormFreq
-	}
-	return out
-}

@@ -95,12 +95,7 @@ func TestSeriesExtractors(t *testing.T) {
 		{Reward: 0.1, MeanNormFreq: 0.5},
 		{Reward: 0.2, MeanNormFreq: 0.6},
 	}
-	r := RewardSeries(evals)
-	f := FreqSeries(evals)
-	if r[0] != 0.1 || r[1] != 0.2 {
+	if r := RewardSeries(evals); r[0] != 0.1 || r[1] != 0.2 {
 		t.Errorf("RewardSeries = %v", r)
-	}
-	if f[0] != 0.5 || f[1] != 0.6 {
-		t.Errorf("FreqSeries = %v", f)
 	}
 }

@@ -187,13 +187,6 @@ func (in *Injector) Events() []Event {
 	return out
 }
 
-// Conns returns how many connections the injector has wrapped.
-func (in *Injector) Conns() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.conns
-}
-
 func (in *Injector) record(e Event) {
 	in.mu.Lock()
 	in.events = append(in.events, e)

@@ -288,8 +288,8 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 		t.Fatalf("accepted conn read error = %v, want injected drop", err)
 	}
 	wg.Wait()
-	if in.Conns() != 1 {
-		t.Fatalf("injector wrapped %d conns, want 1", in.Conns())
+	if in.conns != 1 {
+		t.Fatalf("injector wrapped %d conns, want 1", in.conns)
 	}
 }
 

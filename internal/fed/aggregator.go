@@ -76,7 +76,10 @@ func (a *Aggregator) Reconnects() int {
 }
 
 // UplinkBytesSent reports the model-bearing bytes this aggregator sent to
-// its parent (relay frames plus join overhead) — the per-hop upward cost.
+// its parent — the relay frames, the per-hop upward cost. The join
+// handshake is not in it: NewConnCodec keeps protocol framing out of Conn's
+// byte counters, which are all a Participant sums, as the parent keeps it
+// out of its BytesReceived.
 func (a *Aggregator) UplinkBytesSent() int64 {
 	if a.part == nil {
 		return 0

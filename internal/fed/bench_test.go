@@ -1,34 +1,23 @@
 package fed
 
-// Wire-path benchmarks at the paper's model size (687 parameters — a
-// 2757 B dense frame, §IV-C). The steady-state contract is 0 allocs/op for
-// every codec: encode scratch, decode buffers and the reusable message all
-// belong to the per-connection codec state. scripts/benchdiff.sh gates the
-// dense pair against BENCH_baseline.json.
+// Wire-path fixtures and benchmarks at the paper's model size (687
+// parameters — a 2757 B dense frame, §IV-C). The steady-state contract is
+// 0 allocs for every codec: encode scratch, decode buffers and the reusable
+// message all belong to the per-connection codec state. The contract is
+// asserted by TestCodecStateReuseAllocFree; the benchmarks below are the
+// per-codec cost model and gate nothing.
 
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
-	"sync"
 	"testing"
-
-	"fedpower/internal/nn"
 )
 
 // benchCodecs enumerates the wire codecs by flag name.
-func benchCodecs(b *testing.B) []Codec {
-	b.Helper()
-	q8, err := QuantCodec(8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q16, err := QuantCodec(16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return []Codec{DenseCodec(), DeltaCodec(), q8, q16}
+func benchCodecs(tb testing.TB) []Codec {
+	tb.Helper()
+	return []Codec{DenseCodec(), DeltaCodec(), mustQuant(tb, 8), mustQuant(tb, 16)}
 }
 
 // benchParams builds a paper-sized parameter vector.
@@ -41,23 +30,57 @@ func benchParams() []float64 {
 	return params
 }
 
+// wireEncodeOp returns the steady-state encode of one model message under
+// codec: the first message, which sizes the codec's buffers, is already
+// written.
+func wireEncodeOp(tb testing.TB, codec Codec) func() {
+	cs := newCodecState(codec, streamDown)
+	msg := message{kind: msgModel, round: 1, params: benchParams()}
+	w := bufio.NewWriter(io.Discard)
+	op := func() {
+		if _, err := cs.writeMessage(w, msg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op()
+	return op
+}
+
+// wireDecodeOp returns the steady-state decode of one model message under
+// codec. Replaying one frame keeps the decoder hot without re-encoding; for
+// the stateful codecs it advances the shadow by the same delta each time,
+// which exercises the identical code path.
+func wireDecodeOp(tb testing.TB, codec Codec) func() {
+	enc, dec := codecPair(codec)
+	var frame bytes.Buffer
+	w := bufio.NewWriter(&frame)
+	if _, err := enc.writeMessage(w, message{kind: msgModel, round: 1, params: benchParams()}); err != nil {
+		tb.Fatal(err)
+	}
+	wire := frame.Bytes()
+	br := bytes.NewReader(wire)
+	r := bufio.NewReader(br)
+	var m message
+	op := func() {
+		br.Reset(wire)
+		r.Reset(br)
+		if _, err := dec.readMessage(r, &m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op()
+	return op
+}
+
 func BenchmarkWireEncode(b *testing.B) {
 	for _, codec := range benchCodecs(b) {
 		b.Run(codec.String(), func(b *testing.B) {
-			cs := newCodecState(codec, streamDown)
-			params := benchParams()
-			msg := message{kind: msgModel, round: 1, params: params}
-			w := bufio.NewWriter(io.Discard)
-			if _, err := cs.writeMessage(w, msg); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(codec.TransferSize(len(params))))
+			op := wireEncodeOp(b, codec)
+			b.SetBytes(int64(codec.TransferSize(paperParams)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cs.writeMessage(w, msg); err != nil {
-					b.Fatal(err)
-				}
+				op()
 			}
 		})
 	}
@@ -66,182 +89,12 @@ func BenchmarkWireEncode(b *testing.B) {
 func BenchmarkWireDecode(b *testing.B) {
 	for _, codec := range benchCodecs(b) {
 		b.Run(codec.String(), func(b *testing.B) {
-			enc := newCodecState(codec, streamDown)
-			dec := newCodecState(codec, streamDown)
-			params := benchParams()
-
-			var frame bytes.Buffer
-			w := bufio.NewWriter(&frame)
-			if _, err := enc.writeMessage(w, message{kind: msgModel, round: 1, params: params}); err != nil {
-				b.Fatal(err)
-			}
-			wire := frame.Bytes()
-
-			// Replaying one frame keeps the decoder hot without re-encoding;
-			// for the stateful codecs it advances the shadow by the same
-			// delta each time, which exercises the identical code path.
-			br := bytes.NewReader(wire)
-			r := bufio.NewReader(br)
-			var m message
-			if _, err := dec.readMessage(r, &m); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(wire)))
+			op := wireDecodeOp(b, codec)
+			b.SetBytes(int64(codec.TransferSize(paperParams)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				br.Reset(wire)
-				r.Reset(br)
-				if _, err := dec.readMessage(r, &m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTreeAggregate measures one interior-node aggregation step at the
-// paper's model size: folding the exact relay sums of N child subtrees and
-// rounding the mean, the per-round cost that bounds a single aggregator's
-// fan-out. Steady state allocates nothing — the accumulator vector and the
-// output model are reused across rounds, as in Server.Serve and RelayRound.
-func BenchmarkTreeAggregate(b *testing.B) {
-	for _, fanout := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("fanout%d", fanout), func(b *testing.B) {
-			params := benchParams()
-			contribs := make([]contribution, fanout)
-			for c := range contribs {
-				sums := make([]nn.Accum, len(params))
-				nn.AddParamsAccum(sums, params)
-				contribs[c] = contribution{sums: sums, leaves: 25}
-			}
-			acc := make([]nn.Accum, len(params))
-			global := make([]float64, len(params))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total := accumulate(acc, contribs)
-				nn.MeanAccum(global, acc, total)
-			}
-		})
-	}
-}
-
-// BenchmarkServerRound measures one complete federated round — admit,
-// broadcast encode+write, collect read+decode, exact accumulate, mean —
-// over real TCP loopback with 8 in-process devices at the paper's model
-// size. The steady-state contract is 0 allocs/op across the whole plane:
-// the session's persistent round workers, cap-guarded scratch and
-// per-connection codec state mean a committed round touches the heap not
-// at all (the done-frame copies at protocol end amortise to zero).
-// scripts/benchdiff.sh gates both sub-benchmarks' allocs at exactly 0.
-//
-// All deadlines are zero by design: SetReadDeadline/SetWriteDeadline
-// allocate runtime timers, and this benchmark isolates the aggregation
-// plane, not the fault plane.
-func BenchmarkServerRound(b *testing.B) {
-	q8, err := QuantCodec(8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name  string
-		codec Codec
-	}{
-		{"dense", DenseCodec()},
-		{"quant8", q8},
-	} {
-		b.Run(bc.name, func(b *testing.B) { benchServerRound(b, bc.codec) })
-	}
-}
-
-func benchServerRound(b *testing.B, codec Codec) {
-	const devices = 8
-	// Round 1 warms the pool, scratch and codec states; the timer restarts
-	// from the first aggregation hook so exactly b.N steady-state rounds
-	// are measured.
-	srv, err := NewServer("127.0.0.1:0", devices, b.N+1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-	srv.Codec = codec
-
-	initial := benchParams()
-
-	var wg sync.WaitGroup
-	clientErrs := make([]error, devices)
-	for d := 0; d < devices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			conn, err := DialCodec(srv.Addr(), uint32(d), codec)
-			if err != nil {
-				clientErrs[d] = err
-				return
-			}
-			defer func() { _ = conn.Close() }()
-			// The trainer reuses one buffer: Participate only encodes the
-			// returned slice, so the client side of a round is allocation
-			// free too (testing.B counts every goroutine's allocations).
-			buf := make([]float64, len(initial))
-			_, clientErrs[d] = conn.Participate(ClientFunc(func(round int, global []float64) ([]float64, error) {
-				copy(buf, global)
-				return buf, nil
-			}))
-		}(d)
-	}
-
-	b.SetBytes(2 * devices * int64(codec.TransferSize(len(initial))))
-	b.ReportAllocs()
-	_, serveErr := srv.Serve(initial, func(round int, g []float64) {
-		if round == 1 {
-			b.ResetTimer()
-		}
-	})
-	b.StopTimer()
-	wg.Wait()
-	if serveErr != nil {
-		b.Fatal(serveErr)
-	}
-	for d, err := range clientErrs {
-		if err != nil {
-			b.Fatalf("device %d: %v", d, err)
-		}
-	}
-}
-
-func BenchmarkWireRoundTrip(b *testing.B) {
-	for _, codec := range benchCodecs(b) {
-		b.Run(codec.String(), func(b *testing.B) {
-			enc := newCodecState(codec, streamDown)
-			dec := newCodecState(codec, streamDown)
-			params := benchParams()
-			msg := message{kind: msgModel, round: 1, params: params}
-
-			var frame bytes.Buffer
-			w := bufio.NewWriter(&frame)
-			br := bytes.NewReader(nil)
-			r := bufio.NewReader(br)
-			var m message
-			roundTrip := func() {
-				frame.Reset()
-				w.Reset(&frame)
-				if _, err := enc.writeMessage(w, msg); err != nil {
-					b.Fatal(err)
-				}
-				br.Reset(frame.Bytes())
-				r.Reset(br)
-				if _, err := dec.readMessage(r, &m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			roundTrip()
-			b.SetBytes(int64(codec.TransferSize(len(params))))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				roundTrip()
+				op()
 			}
 		})
 	}

@@ -154,23 +154,6 @@ func (c Codec) payloadSize(n int) int {
 // §IV-C accounting.
 func (c Codec) TransferSize(n int) int { return headerSize + c.payloadSize(n) }
 
-// ModelBytes returns the model-bearing bytes of one model message — the
-// payload minus per-message codec metadata (the quantization scale), and
-// minus the protocol header, mirroring the package convention that framing
-// is not model data. This is the §IV-C communication metric the byte
-// counters track: dense and delta carry 4 B/param, quant8 1 B/param,
-// quant16 2 B/param.
-func (c Codec) ModelBytes(n int) int {
-	switch c.id {
-	case codecQuant8:
-		return n
-	case codecQuant16:
-		return 2 * n
-	default:
-		return nn.WireSize(n)
-	}
-}
-
 // quantMetaSize is the per-message metadata of the quantized codecs: one
 // float32 scale factor.
 const quantMetaSize = 4

@@ -39,42 +39,37 @@ func TestParseCodec(t *testing.T) {
 	}
 }
 
-// TestCodecSizes pins each codec's on-wire and model-bearing byte counts at
-// the paper's model size: dense keeps the 2757 B frame of §IV-C, delta
-// matches it, and the quantized codecs carry 4× / 2× fewer model-bearing
-// bytes — the communication saving the codecs exist for.
+// TestCodecSizes pins each codec's on-wire byte count at the paper's model
+// size — 9 B header, 4 B scale for the quantized codecs, then the
+// model-bearing bytes: dense keeps the 2757 B frame of §IV-C, delta matches
+// it, and the quantized codecs carry 4× / 2× fewer model-bearing bytes —
+// the communication saving the codecs exist for.
 func TestCodecSizes(t *testing.T) {
 	cases := []struct {
-		name           string
-		codec          Codec
-		wire, modelLen int
+		name  string
+		codec Codec
+		wire  int
 	}{
-		{"dense", DenseCodec(), 9 + 4*paperParams, 4 * paperParams},
-		{"delta", DeltaCodec(), 9 + 4*paperParams, 4 * paperParams},
-		{"quant8", mustQuant(t, 8), 9 + 4 + paperParams, paperParams},
-		{"quant16", mustQuant(t, 16), 9 + 4 + 2*paperParams, 2 * paperParams},
+		{"dense", DenseCodec(), 9 + 4*paperParams},
+		{"delta", DeltaCodec(), 9 + 4*paperParams},
+		{"quant8", mustQuant(t, 8), 9 + 4 + paperParams},
+		{"quant16", mustQuant(t, 16), 9 + 4 + 2*paperParams},
 	}
 	for _, c := range cases {
 		if got := c.codec.TransferSize(paperParams); got != c.wire {
 			t.Errorf("%s: TransferSize(%d) = %d, want %d", c.name, paperParams, got, c.wire)
 		}
-		if got := c.codec.ModelBytes(paperParams); got != c.modelLen {
-			t.Errorf("%s: ModelBytes(%d) = %d, want %d", c.name, paperParams, got, c.modelLen)
-		}
 	}
 	if DenseCodec().TransferSize(paperParams) != TransferSize(paperParams) {
 		t.Error("dense Codec.TransferSize disagrees with the package TransferSize")
 	}
-	if ratio := float64(DenseCodec().ModelBytes(paperParams)) / float64(mustQuant(t, 8).ModelBytes(paperParams)); ratio < 4 {
-		t.Errorf("quant8 model-bearing reduction %.2f×, want >= 4×", ratio)
-	}
 }
 
-func mustQuant(t *testing.T, bits int) Codec {
-	t.Helper()
+func mustQuant(tb testing.TB, bits int) Codec {
+	tb.Helper()
 	c, err := QuantCodec(bits, 7)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
@@ -356,32 +351,17 @@ func TestCodecByteAccountingActual(t *testing.T) {
 }
 
 // TestCodecStateReuseAllocFree pins the steady-state allocation contract of
-// the wire path: after the first exchange, encode and decode reuse
-// codec-owned buffers.
+// the wire path, per codec and per direction at the paper's model size:
+// after the first message, encode and decode reuse codec-owned buffers.
 func TestCodecStateReuseAllocFree(t *testing.T) {
-	for _, codec := range []Codec{DenseCodec(), DeltaCodec(), mustQuant(t, 16)} {
-		enc, dec := codecPair(codec)
-		params := make([]float64, 256)
-		for i := range params {
-			params[i] = float64(i) * 0.125
-		}
-		var out []float64
-		// Warm-up exchange sizes every buffer.
-		payload := enc.encodePayload(params)
-		out, err := dec.decodePayload(out, len(params), payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			p := enc.encodePayload(params)
-			var derr error
-			out, derr = dec.decodePayload(out, len(params), p)
-			if derr != nil {
-				t.Fatal(derr)
+	for _, codec := range benchCodecs(t) {
+		for _, dir := range []struct {
+			name string
+			op   func()
+		}{{"encode", wireEncodeOp(t, codec)}, {"decode", wireDecodeOp(t, codec)}} {
+			if allocs := testing.AllocsPerRun(50, dir.op); allocs != 0 {
+				t.Errorf("%s %s: %.1f allocs per steady-state message, want 0", codec, dir.name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state exchange, want 0", codec, allocs)
 		}
 	}
 }

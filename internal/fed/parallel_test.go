@@ -3,8 +3,11 @@ package fed
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+
+	"fedpower/internal/nn"
 )
 
 // Bit-identity of the parallel aggregation plane. The server's Parallelism
@@ -42,6 +45,31 @@ func paramBits(params []float64) []uint64 {
 	return bits
 }
 
+// participate dials n devices into srv, each running the trainer made for
+// its ID to the end of the protocol, and returns a function that waits for
+// them and reports their errors by ID.
+func participate(srv *Server, codec Codec, n int, trainer func(id int) ClientFunc) (wait func() []error) {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for d := 0; d < n; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			conn, err := DialCodec(srv.Addr(), uint32(d), codec)
+			if err != nil {
+				errs[d] = err
+				return
+			}
+			defer conn.Close()
+			_, errs[d] = conn.Participate(trainer(d))
+		}(d)
+	}
+	return func() []error {
+		wg.Wait()
+		return errs
+	}
+}
+
 // runParallelFederation drives one TCP federation of 8 devices at the
 // given worker width and returns every round's global model bits plus the
 // final model's.
@@ -52,21 +80,7 @@ func runParallelFederation(t *testing.T, codec Codec, width int) [][]uint64 {
 	srv.Codec = codec
 	srv.Parallelism = width
 
-	var wg sync.WaitGroup
-	errs := make([]error, devices)
-	for d := 0; d < devices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			conn, err := DialCodec(srv.Addr(), uint32(d), codec)
-			if err != nil {
-				errs[d] = err
-				return
-			}
-			defer conn.Close()
-			_, errs[d] = conn.Participate(paraTrainer(d))
-		}(d)
-	}
+	wait := participate(srv, codec, devices, paraTrainer)
 
 	initial := make([]float64, params)
 	for i := range initial {
@@ -76,7 +90,7 @@ func runParallelFederation(t *testing.T, codec Codec, width int) [][]uint64 {
 	final, err := srv.Serve(initial, func(round int, g []float64) {
 		history = append(history, paramBits(g))
 	})
-	wg.Wait()
+	errs := wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,5 +172,86 @@ func TestParallelAggregationTreeBitIdentical(t *testing.T) {
 	ref := run(1)
 	for _, width := range []int{2, 8} {
 		compareHistories(t, fmt.Sprintf("tree width %d", width), ref, run(width))
+	}
+}
+
+// TestTreeAggregateAllocFree: one interior-node aggregation step at the
+// paper's model size — folding the exact relay sums of N child subtrees and
+// rounding the mean — allocates nothing at any fan-out; the accumulator
+// vector and the output model are reused across rounds, as in Server.Serve
+// and the Aggregator's relay round.
+func TestTreeAggregateAllocFree(t *testing.T) {
+	params := benchParams()
+	for _, fanout := range []int{2, 4, 8, 16} {
+		contribs := make([]contribution, fanout)
+		for c := range contribs {
+			sums := make([]nn.Accum, len(params))
+			nn.AddParamsAccum(sums, params)
+			contribs[c] = contribution{sums: sums, leaves: 25}
+		}
+		acc := make([]nn.Accum, len(params))
+		global := make([]float64, len(params))
+		if avg := testing.AllocsPerRun(20, func() {
+			nn.MeanAccum(global, acc, accumulate(acc, contribs))
+		}); avg != 0 {
+			t.Errorf("fan-out %d: %.1f allocs per aggregation step, want 0", fanout, avg)
+		}
+	}
+}
+
+// TestServerRoundAllocFree: a complete federated round — admit, broadcast
+// encode+write, collect read+decode, exact accumulate, mean — over real TCP
+// loopback with 8 in-process devices at the paper's model size allocates
+// nothing, on the server or the devices: the session's persistent round
+// workers, cap-guarded scratch and per-connection codec state keep the
+// whole plane off the heap. Serve owns the round loop, so the process's
+// malloc counter is read from the aggregation hook, after warm-up rounds
+// and again before the last round (whose done frames do allocate), and
+// averaged per round as testing.AllocsPerRun does: the Go runtime's own
+// few dozen allocations per run round to zero, one per round does not.
+//
+// All deadlines are zero by design: SetReadDeadline/SetWriteDeadline
+// allocate runtime timers, and this test pins the aggregation plane, not
+// the fault plane.
+func TestServerRoundAllocFree(t *testing.T) {
+	const devices, warm, measured = 8, 20, 300
+	for _, codec := range []Codec{DenseCodec(), mustQuant(t, 8)} {
+		srv := startServer(t, devices, warm+measured+1)
+		srv.Codec = codec
+		initial := benchParams()
+
+		// The trainer reuses one buffer: Participate only encodes the
+		// returned slice, so the device side of a round is allocation-free
+		// too.
+		wait := participate(srv, codec, devices, func(int) ClientFunc {
+			buf := make([]float64, len(initial))
+			return func(round int, global []float64) ([]float64, error) {
+				copy(buf, global)
+				return buf, nil
+			}
+		})
+
+		var before, after runtime.MemStats
+		_, err := srv.Serve(initial, func(round int, g []float64) {
+			switch round {
+			case warm:
+				runtime.ReadMemStats(&before)
+			case warm + measured:
+				runtime.ReadMemStats(&after)
+			}
+		})
+		errs := wait()
+		if err != nil {
+			t.Fatalf("%s: %v", codec, err)
+		}
+		for d, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: device %d: %v", codec, d, err)
+			}
+		}
+		if per := (after.Mallocs - before.Mallocs) / measured; per != 0 {
+			t.Errorf("%s: %d allocs per round (%d over %d rounds), want 0",
+				codec, per, after.Mallocs-before.Mallocs, measured)
+		}
 	}
 }

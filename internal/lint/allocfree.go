@@ -25,8 +25,8 @@ import (
 // whose condition consults len or cap (the amortized-growth and
 // guarded-error patterns — allocate only when capacity is exhausted or
 // input is malformed). Foreign (out-of-module) callees other than
-// fmt/log are assumed allocation-free; the benchdiff.sh -benchmem gate
-// remains the dynamic backstop for those.
+// fmt/log are assumed allocation-free; the AllocFree tests beside each
+// annotated root remain the dynamic backstop for those.
 //
 // Each finding carries the full call-chain path from the annotated root
 // to the allocating expression, one position per hop, mirroring

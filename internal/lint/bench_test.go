@@ -49,10 +49,9 @@ func BenchmarkPrivacyTaint(b *testing.B) {
 
 // BenchmarkWireBound isolates the interval-bounds layer: module index
 // construction plus the hostile-integer fixpoint over every function body
-// and the final reporting sweep. Like the other analysis passes it is
-// ns/op-gated by scripts/benchdiff.sh (allocations scale with the module
-// under analysis, so allocs/op is exempt) — the decode-surface proof must
-// stay cheap enough to run on every test invocation.
+// and the final reporting sweep — the decode-surface proof must stay cheap
+// enough to run on every test invocation (`make bench-lint` prints it;
+// what fails is check.sh's FEDLINT_BUDGET).
 func BenchmarkWireBound(b *testing.B) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -73,9 +72,8 @@ func BenchmarkWireBound(b *testing.B) {
 
 // BenchmarkEffectAnalysis isolates the effect-and-allocation layer added
 // on top of the call graph: module index construction plus the allocfree
-// proof, the maporder flow search and the slotrace write-effect pass. It
-// rides the same benchdiff gate as the taint pass — the static proofs must
-// stay cheap enough to run on every test invocation.
+// proof, the maporder flow search and the slotrace write-effect pass — the
+// static proofs must stay cheap enough to run on every test invocation.
 func BenchmarkEffectAnalysis(b *testing.B) {
 	wd, err := os.Getwd()
 	if err != nil {

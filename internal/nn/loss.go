@@ -20,13 +20,6 @@ func Huber(pred, target, delta float64) (loss, grad float64) {
 	return delta * (math.Abs(e) - 0.5*delta), delta * sign(e)
 }
 
-// SquaredError returns the squared-error loss 0.5·(pred-target)² and its
-// gradient with respect to pred. Provided for ablations against Huber.
-func SquaredError(pred, target float64) (loss, grad float64) {
-	e := pred - target
-	return 0.5 * e * e, e
-}
-
 func sign(x float64) float64 {
 	switch {
 	case x > 0:

@@ -65,16 +65,6 @@ func TestHuberCustomDelta(t *testing.T) {
 	}
 }
 
-func TestSquaredError(t *testing.T) {
-	loss, grad := SquaredError(2, -1)
-	if math.Abs(loss-4.5) > 1e-12 {
-		t.Errorf("loss = %v, want 4.5", loss)
-	}
-	if grad != 3 {
-		t.Errorf("grad = %v, want 3", grad)
-	}
-}
-
 // Property: Huber loss is non-negative, symmetric in the error, and bounded
 // above by the squared error.
 func TestHuberProperties(t *testing.T) {
@@ -87,7 +77,7 @@ func TestHuberProperties(t *testing.T) {
 		}
 		l1, g1 := Huber(pred, target, 1.0)
 		l2, g2 := Huber(target, pred, 1.0) // mirrored error
-		sq, _ := SquaredError(pred, target)
+		sq := 0.5 * (pred - target) * (pred - target)
 		if l1 < 0 {
 			return false
 		}

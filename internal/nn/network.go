@@ -1,7 +1,7 @@
 // Package nn implements the small feed-forward neural network machinery
 // required by the paper's DVFS policy: dense layers with ReLU hidden
 // activations and a linear output, He weight initialisation, manual
-// backpropagation, Huber and squared losses, SGD and Adam optimizers, and a
+// backpropagation, the Huber loss, the Adam optimizer, and a
 // compact float32 wire format whose size matches the paper's reported
 // 2.8 kB per federated transfer.
 //

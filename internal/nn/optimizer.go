@@ -18,27 +18,6 @@ type Optimizer interface {
 	Reset()
 }
 
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies params -= lr·grad.
-func (s *SGD) Step(params, grad []float64) {
-	if len(params) != len(grad) {
-		panic(fmt.Sprintf("nn: SGD.Step length mismatch: %d vs %d", len(params), len(grad)))
-	}
-	for i := range params {
-		params[i] -= s.LR * grad[i]
-	}
-}
-
-// Reset is a no-op: plain SGD keeps no state between steps.
-func (s *SGD) Reset() {}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015) used by the paper,
 // with the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8 defaults.
 type Adam struct {

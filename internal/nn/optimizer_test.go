@@ -6,24 +6,6 @@ import (
 	"testing"
 )
 
-func TestSGDStep(t *testing.T) {
-	opt := NewSGD(0.1)
-	params := []float64{1, 2}
-	opt.Step(params, []float64{10, -10})
-	if params[0] != 0 || params[1] != 3 {
-		t.Fatalf("SGD step: %v, want [0 3]", params)
-	}
-}
-
-func TestSGDLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SGD.Step length mismatch did not panic")
-		}
-	}()
-	NewSGD(0.1).Step([]float64{1}, []float64{1, 2})
-}
-
 func TestAdamFirstStepMagnitude(t *testing.T) {
 	// With bias correction, the first Adam step has magnitude ≈ lr for any
 	// non-zero gradient.
@@ -97,7 +79,7 @@ func TestTrainNetworkOnRegression(t *testing.T) {
 		x := rng.Float64()
 		y := 2*x - 1
 		out := n.Forward([]float64{x})
-		_, g := SquaredError(out[0], y)
+		g := out[0] - y // gradient of the squared error ½(out−y)²
 		for i := range grad {
 			grad[i] = 0
 		}
@@ -373,20 +355,27 @@ func FuzzAdamStepMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkAdamStep is one optimiser step at the paper's model size (687
-// parameters) with the gradient of a trained policy — exactly zero for four
-// parameters in five — on a fresh optimiser, whose moments are all normal
-// numbers, and on one that has run long enough for the first moments of the
-// zero-gradient parameters to be stuck on the subnormal fixed point a decay
-// under β₁ = 0.9 ends on (stuck), and then the second moments too (stuckv,
-// ≈ 720 000 updates in). stuck must not be slower than fresh: that is what
-// keeps a deployed controller's update from slowing down
-// (scripts/benchdiff.sh checks it).
-func BenchmarkAdamStep(b *testing.B) {
+// adamAges are the optimiser states Adam.Step is timed and checked in, named
+// by the moments of the parameters whose gradient is zero (0 keeps the
+// starting moments): fresh, every moment a normal number; stuck, first
+// moments on the subnormal fixed point a decay under β₁ = 0.9 ends on, as
+// after ≈ 7 000 updates; stuckv, second moments too, ≈ 720 000 updates in.
+var adamAges = []struct {
+	name string
+	m, v float64
+}{
+	{"fresh", 0, 0},
+	{"stuck", math.Float64frombits(stuckCount(0.9)), 0},
+	{"stuckv", math.Float64frombits(stuckCount(0.9)), math.Float64frombits(stuckCount(0.999))},
+}
+
+// adamAtAge returns the paper's model size (687 parameters) with the
+// gradient of a trained policy — exactly zero for four parameters in five —
+// and a function that puts an optimiser into one of adamAges.
+func adamAtAge() (params, grad []float64, set func(a *Adam, m, v float64)) {
 	const n = 687
 	rng := newTestRand()
-	params := make([]float64, n)
-	grad := make([]float64, n)
+	params, grad = make([]float64, n), make([]float64, n)
 	m0, v0 := make([]float64, n), make([]float64, n)
 	for i := range params {
 		params[i] = rng.NormFloat64()
@@ -396,37 +385,51 @@ func BenchmarkAdamStep(b *testing.B) {
 			grad[i] = rng.NormFloat64() * 1e-2
 		}
 	}
-	for _, bc := range []struct {
-		name string
-		m, v float64 // moments where the gradient is zero; 0 keeps m0, v0
-	}{
-		{"fresh", 0, 0},
-		{"stuck", math.Float64frombits(stuckCount(0.9)), 0},
-		{"stuckv", math.Float64frombits(stuckCount(0.9)), math.Float64frombits(stuckCount(0.999))},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	return params, grad, func(a *Adam, m, v float64) {
+		a.t = 7000
+		a.m, a.v = append(a.m[:0], m0...), append(a.v[:0], v0...)
+		for i := range a.m {
+			if i%5 == 0 {
+				continue
+			}
+			if m != 0 {
+				a.m[i] = math.Copysign(m, m0[i])
+			}
+			if v != 0 {
+				a.v[i] = v
+			}
+		}
+	}
+}
+
+// TestAdamStepAllocFree: the optimiser step allocates nothing at any age —
+// neither the general expression nor the stuck-moment skips.
+func TestAdamStepAllocFree(t *testing.T) {
+	params, grad, set := adamAtAge()
+	for _, age := range adamAges {
+		a := NewAdam(0.005)
+		set(a, age.m, age.v)
+		if avg := testing.AllocsPerRun(100, func() { a.Step(params, grad) }); avg != 0 {
+			t.Errorf("%s: Adam.Step allocates %.1f times per call, want 0", age.name, avg)
+		}
+	}
+}
+
+// BenchmarkAdamStep is one optimiser step in each of adamAges. stuck must
+// not be slower than fresh — that is what keeps a deployed controller's
+// update from slowing down; end to end it is fedbench's device_train_aged
+// workload that watches it.
+func BenchmarkAdamStep(b *testing.B) {
+	params, grad, set := adamAtAge()
+	for _, age := range adamAges {
+		b.Run(age.name, func(b *testing.B) {
 			a := NewAdam(0.005)
-			a.m, a.v = make([]float64, n), make([]float64, n)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for it := 0; it < b.N; it++ {
 				// Back to the starting state before the zero-gradient moments
 				// of the fresh optimiser can decay out of the normal range.
 				if it%512 == 0 {
-					a.t = 7000
-					copy(a.v, v0)
-					copy(a.m, m0)
-					for i := range a.m {
-						if i%5 == 0 {
-							continue
-						}
-						if bc.m != 0 {
-							a.m[i] = math.Copysign(bc.m, m0[i])
-						}
-						if bc.v != 0 {
-							a.v[i] = bc.v
-						}
-					}
+					set(a, age.m, age.v)
 				}
 				a.Step(params, grad)
 			}

@@ -25,10 +25,8 @@ type Sample struct {
 // overwrite the oldest ones, so the buffer always holds the most recent C
 // interactions. The zero value is not usable; construct with New.
 type Buffer struct {
-	data  []Sample
-	next  int
-	full  bool
-	added int
+	data []Sample
+	next int
 }
 
 // New returns an empty buffer with the given capacity (the paper's C,
@@ -44,18 +42,17 @@ func New(capacity int) *Buffer {
 // state slice is copied so callers may reuse their buffer. Once the ring is
 // full, the evicted sample's state storage is recycled for the new sample
 // (when the dimensions allow), so steady-state Add performs no allocations
-// (BenchmarkReplayAdd pins this); the flip side is that a Sample or At
-// result's State aliases ring storage that is rewritten when the ring wraps
-// back to its slot — copy it out to outlive the wrap (SampleInto does).
+// (TestAddReusesEvictedStateStorage pins this); the flip side is that a
+// Sample or At result's State aliases ring storage that is rewritten when
+// the ring wraps back to its slot — copy it out to outlive the wrap
+// (SampleInto does).
 //
 //fedlint:allocfree
 func (b *Buffer) Add(state []float64, action int, reward float64) {
-	b.added++
 	if len(b.data) < cap(b.data) {
 		b.data = append(b.data, Sample{State: append([]float64(nil), state...), Action: action, Reward: reward})
 		return
 	}
-	b.full = true
 	s := &b.data[b.next]
 	if cap(s.State) >= len(state) {
 		s.State = s.State[:len(state)]
@@ -73,13 +70,6 @@ func (b *Buffer) Len() int { return len(b.data) }
 
 // Cap returns the buffer capacity C.
 func (b *Buffer) Cap() int { return cap(b.data) }
-
-// Added returns the total number of samples ever added, including evicted
-// ones. Useful for overhead accounting and tests.
-func (b *Buffer) Added() int { return b.added }
-
-// Full reports whether the buffer has wrapped at least once.
-func (b *Buffer) Full() bool { return b.full }
 
 // Sample draws n samples uniformly at random with replacement into dst and
 // returns it (allocating when dst is too small). Sampling with replacement
@@ -161,6 +151,4 @@ func (b *Buffer) Footprint(stateDim int) int {
 func (b *Buffer) Reset() {
 	b.data = b.data[:0]
 	b.next = 0
-	b.full = false
-	b.added = 0
 }

@@ -21,13 +21,13 @@ func TestNewValidation(t *testing.T) {
 
 func TestAddAndLen(t *testing.T) {
 	b := New(3)
-	if b.Len() != 0 || b.Cap() != 3 || b.Full() {
-		t.Fatalf("fresh buffer: len=%d cap=%d full=%v", b.Len(), b.Cap(), b.Full())
+	if b.Len() != 0 || b.Cap() != 3 {
+		t.Fatalf("fresh buffer: len=%d cap=%d", b.Len(), b.Cap())
 	}
 	b.Add([]float64{1}, 0, 0.5)
 	b.Add([]float64{2}, 1, 0.6)
-	if b.Len() != 2 || b.Full() {
-		t.Fatalf("after 2 adds: len=%d full=%v", b.Len(), b.Full())
+	if b.Len() != 2 {
+		t.Fatalf("after 2 adds: len=%d", b.Len())
 	}
 	b.Add([]float64{3}, 2, 0.7)
 	if b.Len() != 3 {
@@ -40,11 +40,8 @@ func TestEvictionKeepsMostRecent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Add([]float64{float64(i)}, i, float64(i))
 	}
-	if !b.Full() {
-		t.Fatal("buffer should be full after wrap")
-	}
-	if b.Added() != 5 {
-		t.Fatalf("Added = %d, want 5", b.Added())
+	if b.Len() != 3 {
+		t.Fatalf("len=%d after wrap, want 3", b.Len())
 	}
 	// The most recent C samples are 2, 3, 4 (in ring positions).
 	seen := map[int]bool{}
@@ -154,8 +151,8 @@ func TestReset(t *testing.T) {
 	b.Add([]float64{2}, 1, 0)
 	b.Add([]float64{3}, 0, 0)
 	b.Reset()
-	if b.Len() != 0 || b.Full() || b.Added() != 0 {
-		t.Fatalf("after reset: len=%d full=%v added=%d", b.Len(), b.Full(), b.Added())
+	if b.Len() != 0 {
+		t.Fatalf("after reset: len=%d", b.Len())
 	}
 	b.Add([]float64{4}, 1, 0.25)
 	if b.Len() != 1 || b.At(0).Reward != 0.25 {
@@ -163,7 +160,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// Property: Len never exceeds Cap and equals min(Added, Cap).
+// Property: Len never exceeds Cap and equals min(adds, Cap).
 func TestLenInvariantProperty(t *testing.T) {
 	f := func(capRaw uint8, adds uint16) bool {
 		capacity := int(capRaw%50) + 1
@@ -176,7 +173,7 @@ func TestLenInvariantProperty(t *testing.T) {
 		if want > capacity {
 			want = capacity
 		}
-		return b.Len() == want && b.Added() == n && b.Len() <= b.Cap()
+		return b.Len() == want && b.Len() <= b.Cap()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

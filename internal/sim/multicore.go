@@ -28,11 +28,10 @@ type MultiCoreDevice struct {
 	// workload loaded (clock-gating leaves a small residual).
 	IdleCoreActivity float64
 
-	level     int
-	cores     []Workload // nil entries are idle cores
-	rng       *rand.Rand
-	stats     Stats
-	coreInstr []float64
+	level int
+	cores []Workload // nil entries are idle cores
+	rng   *rand.Rand
+	stats Stats
 }
 
 // NewMultiCoreDevice returns a cluster with the given core count, all cores
@@ -54,7 +53,6 @@ func NewMultiCoreDevice(table *VFTable, pm PowerModel, cores int, rng *rand.Rand
 		IPCNoiseRel:      0.02,
 		IdleCoreActivity: 0.05,
 		cores:            make([]Workload, cores),
-		coreInstr:        make([]float64, cores),
 		rng:              rng,
 	}
 }
@@ -72,9 +70,6 @@ func (d *MultiCoreDevice) LoadCore(i int, w Workload) {
 	}
 	d.cores[i] = w
 }
-
-// CoreWorkload returns core i's workload, or nil when idle.
-func (d *MultiCoreDevice) CoreWorkload(i int) Workload { return d.cores[i] }
 
 // CoreDone reports whether core i has no work left (idle or completed).
 func (d *MultiCoreDevice) CoreDone(i int) bool {
@@ -122,10 +117,9 @@ func (d *MultiCoreDevice) Step(dt float64) Observation {
 		missSum    float64 // instruction-weighted MPKI numerator
 		accSum     float64 // instruction-weighted APKI numerator
 	)
-	for i, w := range d.cores {
+	for _, w := range d.cores {
 		if w == nil || w.Remaining() <= 0 {
 			totalDyn += d.Power.Dynamic(lv.VoltV, lv.FreqMHz, 0, d.IdleCoreActivity)
-			d.coreInstr[i] = 0
 			continue
 		}
 		dem := w.Demand()
@@ -136,7 +130,6 @@ func (d *MultiCoreDevice) Step(dt float64) Observation {
 			instr = rem
 		}
 		w.Advance(instr)
-		d.coreInstr[i] = instr
 
 		totalDyn += d.Power.Dynamic(lv.VoltV, lv.FreqMHz, ipc, dem.Activity)
 		ipcSum += ipc
@@ -185,9 +178,6 @@ func (d *MultiCoreDevice) Step(dt float64) Observation {
 		TruePower: truePower,
 	}
 }
-
-// CoreInstr returns the instructions core i retired in the last Step.
-func (d *MultiCoreDevice) CoreInstr(i int) float64 { return d.coreInstr[i] }
 
 // Stats returns the cluster's cumulative execution statistics.
 func (d *MultiCoreDevice) Stats() Stats { return d.stats }

@@ -90,9 +90,6 @@ func (a *TraceApp) Reset() { a.executed = 0 }
 // TotalInstr returns the trace's total instruction count.
 func (a *TraceApp) TotalInstr() float64 { return a.total }
 
-// Segments returns a copy of the trace segments.
-func (a *TraceApp) Segments() []Segment { return append([]Segment(nil), a.segments...) }
-
 var _ sim.Workload = (*TraceApp)(nil)
 
 // traceCSVHeader is the column order expected by LoadTraceCSV.

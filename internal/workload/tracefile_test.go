@@ -125,7 +125,7 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 	if loaded.TotalInstr() != app.TotalInstr() {
 		t.Fatalf("total %v, want %v", loaded.TotalInstr(), app.TotalInstr())
 	}
-	a, b := app.Segments(), loaded.Segments()
+	a, b := app.segments, loaded.segments
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("segment %d: %+v != %+v", i, a[i], b[i])

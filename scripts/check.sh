@@ -9,8 +9,11 @@
 #                        taint boundary, and the effect proofs: allocfree
 #                        hot paths, order-independent map folds, own-slot
 #                        pool tasks; internal/lint)
-#   4. go test         — tier-1 tests, including the fedlint self-check and
-#                        the wire-format fuzz seed corpus
+#   4. go test         — tier-1 tests, including the fedlint self-check,
+#                        the wire-format fuzz seed corpus and the exact
+#                        0-allocation assertions on every hot path (control
+#                        step, policy update, Adam step, replay add, wire
+#                        encode/decode, tree aggregate, TCP server round)
 #   5. go test -race   — race detector over every package (the federation,
 #                        faultnet and experiment tests exercise real
 #                        concurrency: quorum rounds with slow/dead clients)
@@ -22,10 +25,13 @@
 #                        always run as part of step 4. Then the same over
 #                        Adam.Step against the plain loop it must equal bit
 #                        for bit, from raw (p, m, v, g) bit patterns
-#   7. bench compile   — every benchmark body runs once (-benchtime 1x), so
-#                        a benchmark that no longer compiles or panics on
-#                        its first iteration fails the gate instead of
-#                        rotting until the next `make bench`
+#   7. bench compile   — every `go test` benchmark body runs once
+#                        (-benchtime 1x), so a paper-artefact, ablation or
+#                        cost-model benchmark that no longer compiles or
+#                        panics on its first iteration fails the gate
+#                        instead of rotting; none of them is compared with
+#                        anything (speed is `make bench`: fedbench, base
+#                        against head)
 #   8. determinism     — `make determinism`: the bit-identity and replay
 #                        tests, twice over; the Makefile holds the one
 #                        definition of the gate and says what it covers
@@ -70,7 +76,7 @@ go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/
 go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
-# each keeps the bench suite (and its gated hot paths) from bit-rotting.
+# each keeps the bench suite from bit-rotting.
 echo "==> go test -bench . -benchtime 1x (bench compile smoke)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 
