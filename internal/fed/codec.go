@@ -181,6 +181,7 @@ type codecState struct {
 	rng     uint64           // splitmix64 state for stochastic rounding
 	scratch []byte           // encode/decode payload buffer, grown once
 	hdr     [headerSize]byte // header scratch — stack arrays escape through io interfaces
+	pre     [8]byte          // relay preamble scratch, for the same reason
 }
 
 // newCodecState builds one direction's state. stream disambiguates the two

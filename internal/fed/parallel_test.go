@@ -201,35 +201,77 @@ func TestTreeAggregateAllocFree(t *testing.T) {
 
 // TestServerRoundAllocFree: a complete federated round — admit, broadcast
 // encode+write, collect read+decode, exact accumulate, mean — over real TCP
-// loopback with 8 in-process devices at the paper's model size allocates
-// nothing, on the server or the devices: the session's persistent round
-// workers, cap-guarded scratch and per-connection codec state keep the
-// whole plane off the heap. Serve owns the round loop, so the process's
-// malloc counter is read from the aggregation hook, after warm-up rounds
-// and again before the last round (whose done frames do allocate), and
-// averaged per round as testing.AllocsPerRun does: the Go runtime's own
-// few dozen allocations per run round to zero, one per round does not.
+// loopback at the paper's model size allocates nothing, on the server or
+// the devices: the session's persistent round workers, cap-guarded scratch
+// and per-connection codec state keep the whole plane off the heap. The
+// flat cases put 8 in-process devices on one server; the relay case puts a
+// root over 2 Aggregators of 4 devices each, so the relay hop — the
+// aggregator's child round, the exact sums' wire encoding, the root's relay
+// decode and merge — is held to the same bound. Serve owns the round loop,
+// so the process's malloc counter is read from the aggregation hook, after
+// warm-up rounds and again before the last round (whose done frames do
+// allocate), and averaged per round as testing.AllocsPerRun does: the Go
+// runtime's own few dozen allocations per run round to zero, one per round
+// does not.
 //
 // All deadlines are zero by design: SetReadDeadline/SetWriteDeadline
 // allocate runtime timers, and this test pins the aggregation plane, not
 // the fault plane.
 func TestServerRoundAllocFree(t *testing.T) {
-	const devices, warm, measured = 8, 20, 300
-	for _, codec := range []Codec{DenseCodec(), mustQuant(t, 8)} {
-		srv := startServer(t, devices, warm+measured+1)
-		srv.Codec = codec
+	const warm, measured = 20, 300
+	for _, tc := range []struct {
+		name          string
+		codec         Codec
+		aggs, devices int // devices per aggregator, or on the root when aggs == 0
+	}{
+		{"dense", DenseCodec(), 0, 8},
+		{"quant8", mustQuant(t, 8), 0, 8},
+		{"relay 2x4 dense", DenseCodec(), 2, 4},
+	} {
+		codec := tc.codec
 		initial := benchParams()
-
 		// The trainer reuses one buffer: Participate only encodes the
 		// returned slice, so the device side of a round is allocation-free
 		// too.
-		wait := participate(srv, codec, devices, func(int) ClientFunc {
+		trainer := func(int) ClientFunc {
 			buf := make([]float64, len(initial))
 			return func(round int, global []float64) ([]float64, error) {
 				copy(buf, global)
 				return buf, nil
 			}
-		})
+		}
+
+		var waits []func() []error
+		var srv *Server
+		if tc.aggs == 0 {
+			srv = startServer(t, tc.devices, warm+measured+1)
+			srv.Codec = codec
+			waits = append(waits, participate(srv, codec, tc.devices, trainer))
+		} else {
+			srv = startServer(t, tc.aggs, warm+measured+1)
+			srv.Codec = codec
+			aggErrs := make([]error, tc.aggs)
+			var wg sync.WaitGroup
+			for a := 0; a < tc.aggs; a++ {
+				agg, err := NewAggregator("127.0.0.1:0", tc.devices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { agg.Close() })
+				agg.Parent, agg.ID, agg.Uplink = srv.Addr(), uint32(100+a), codec
+				agg.Children.Codec = codec
+				wg.Add(1)
+				go func(a int) {
+					defer wg.Done()
+					_, aggErrs[a] = agg.Run()
+				}(a)
+				waits = append(waits, participate(agg.Children, codec, tc.devices, trainer))
+			}
+			waits = append(waits, func() []error {
+				wg.Wait()
+				return aggErrs
+			})
+		}
 
 		var before, after runtime.MemStats
 		_, err := srv.Serve(initial, func(round int, g []float64) {
@@ -240,18 +282,21 @@ func TestServerRoundAllocFree(t *testing.T) {
 				runtime.ReadMemStats(&after)
 			}
 		})
-		errs := wait()
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
+		var errs []error
+		for _, wait := range waits {
+			errs = append(errs, wait()...)
 		}
-		for d, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, err := range errs {
 			if err != nil {
-				t.Fatalf("%s: device %d: %v", codec, d, err)
+				t.Fatalf("%s: participant %d: %v", tc.name, i, err)
 			}
 		}
 		if per := (after.Mallocs - before.Mallocs) / measured; per != 0 {
 			t.Errorf("%s: %d allocs per round (%d over %d rounds), want 0",
-				codec, per, after.Mallocs-before.Mallocs, measured)
+				tc.name, per, after.Mallocs-before.Mallocs, measured)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func (cs *codecState) writeRelay(w *bufio.Writer, m message) (int, error) {
 // accumulators consuming exactly its announced length is rejected whole — a
 // partial sub-sum never survives this function.
 func (cs *codecState) readRelay(r *bufio.Reader, m *message, count int) (int, error) {
-	var pre [8]byte
+	pre := &cs.pre
 	n := headerSize
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return n, fmt.Errorf("fed: read relay preamble: %w", err)

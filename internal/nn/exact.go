@@ -32,6 +32,17 @@ import (
 // Non-finite summands cannot be represented in fixed point; they are tallied
 // separately and resolved by Round with IEEE semantics (any NaN, or both
 // infinity signs, poisons the sum to NaN).
+//
+// Only a live span of limbs [lo, hi) is stored; the rest of the integer is
+// implied. Every limb below lo is 0 and every limb at or above hi is the
+// sign fill, 0 or ^0; array limbs outside the span are stale and never read.
+// A parameter of magnitude ~1 lives in 2–3 limbs, so each operation costs
+// the width of the data, not of the window: Reset is O(1), Add touches the
+// span only, a carry or borrow that reaches hi resolves against the fill in
+// O(1) (it flips the fill or extends the span by one limb), AddAccum walks
+// the union of two spans, and Round and AppendWire read the magnitude limb
+// by limb. The integer is the one a full-width accumulator would hold, so
+// every reading and every wire byte is too.
 
 const (
 	// accLimbs is the number of 64-bit limbs in the fixed-point window.
@@ -53,30 +64,88 @@ const MaxAccumWire = 1 + 12 + 1 + 8*accLimbs
 // Accum is an exact accumulator for float64 sums: order- and
 // grouping-invariant by construction. The zero value is an empty sum. Accum
 // is a value type — assignment copies the sum — but the methods take
-// pointers; do not copy an Accum concurrently with writes.
+// pointers; do not copy an Accum concurrently with writes. Only limbs in
+// the live span [lo, hi) are meaningful (see Layout), so two Accums holding
+// the same sum need not compare equal with ==; compare their AppendWire
+// encodings, which are canonical.
 type Accum struct {
 	limb [accLimbs]uint64
 	// Non-finite tallies, merged additively so they too are
 	// order-invariant. uint32 bounds fleets at 4 G summands of each kind,
 	// the same order as the fixed-point headroom.
 	nan, posInf, negInf uint32
+	// lo and hi bound the live span; neg selects the fill of the limbs at
+	// and above hi (^0 when set, else 0). With hi == accLimbs there is no
+	// fill limb, neg is unused and the sign is the top limb's top bit.
+	lo, hi uint8
+	neg    bool
 }
 
 // Reset empties the accumulator.
-func (a *Accum) Reset() { *a = Accum{} }
+func (a *Accum) Reset() {
+	a.lo, a.hi, a.neg = 0, 0, false
+	a.nan, a.posInf, a.negInf = 0, 0, 0
+}
 
-// IsZero reports whether the accumulator holds an empty (or exactly
-// cancelled) finite sum with no non-finite tallies.
-func (a *Accum) IsZero() bool {
-	if a.nan != 0 || a.posInf != 0 || a.negInf != 0 {
-		return false
+// fillSign is the fill as a signed limb value: -1 for ^0, else 0.
+func (a *Accum) fillSign() int {
+	if a.neg {
+		return -1
 	}
-	for _, l := range a.limb {
-		if l != 0 {
-			return false
-		}
+	return 0
+}
+
+// at returns limb i of the integer, inside the span or implied by it.
+func (a *Accum) at(i int) uint64 {
+	switch {
+	case i < int(a.lo):
+		return 0
+	case i < int(a.hi):
+		return a.limb[i]
+	case a.neg:
+		return ^uint64(0)
 	}
-	return true
+	return 0
+}
+
+// negative reports whether the integer is negative.
+func (a *Accum) negative() bool {
+	if a.hi == accLimbs {
+		return a.limb[accLimbs-1]>>63 != 0
+	}
+	return a.neg
+}
+
+// widen grows the live span to cover limbs [l, h), writing the new limbs
+// from the invariant: zeros below the span, the fill above it.
+func (a *Accum) widen(l, h int) {
+	lo, hi := int(a.lo), int(a.hi)
+	if lo == hi && !a.neg {
+		lo, hi = l, l // an empty non-negative span is zero everywhere: anchor it at l
+	}
+	for ; lo > l; lo-- {
+		a.limb[lo-1] = 0
+	}
+	for f := uint64(a.fillSign()); hi < h; hi++ {
+		a.limb[hi] = f
+	}
+	a.lo, a.hi = uint8(lo), uint8(hi)
+}
+
+// spill resolves what left the top of the span: u, in [-2, 1], is the
+// signed value the limbs at and above hi now hold — the old fill plus the
+// carries or borrows that reached it. 0 and -1 are fills; 1 and -2 take one
+// more live limb. Past the top limb the integer wraps mod 2^2176, which is
+// the two's complement behaviour negative partial sums rely on.
+func (a *Accum) spill(u int) {
+	if a.hi == accLimbs {
+		return
+	}
+	if u < -1 || u > 0 {
+		a.limb[a.hi] = uint64(u)
+		a.hi++
+	}
+	a.neg = u < 0
 }
 
 // Add adds v to the sum, exactly.
@@ -113,81 +182,148 @@ func (a *Accum) Add(v float64) {
 	if off != 0 {
 		hi = m >> (64 - off)
 	}
-	if b>>63 == 0 {
-		a.addAt(li, lo, hi)
-	} else {
-		a.subAt(li, lo, hi)
+	if li < int(a.lo) || li+2 > int(a.hi) {
+		a.widen(li, li+2)
 	}
-}
-
-// addAt adds the two-limb quantity (lo, hi) at limb index li, propagating
-// the carry. A carry off the top limb wraps mod 2^2176, which is the two's
-// complement behaviour negative partial sums rely on.
-func (a *Accum) addAt(li int, lo, hi uint64) {
+	// The span now covers limbs li and li+1. Only a carry or borrow out of
+	// them, which is rare, walks further.
 	var c uint64
-	a.limb[li], c = bits.Add64(a.limb[li], lo, 0)
-	a.limb[li+1], c = bits.Add64(a.limb[li+1], hi, c)
-	for i := li + 2; c != 0 && i < accLimbs; i++ {
-		a.limb[i], c = bits.Add64(a.limb[i], 0, c)
+	if b>>63 == 0 {
+		a.limb[li], c = bits.Add64(a.limb[li], lo, 0)
+		a.limb[li+1], c = bits.Add64(a.limb[li+1], hi, c)
+		if c != 0 {
+			a.carry(li + 2)
+		}
+	} else {
+		a.limb[li], c = bits.Sub64(a.limb[li], lo, 0)
+		a.limb[li+1], c = bits.Sub64(a.limb[li+1], hi, c)
+		if c != 0 {
+			a.borrow(li + 2)
+		}
 	}
 }
 
-// subAt subtracts the two-limb quantity (lo, hi) at limb index li,
-// propagating the borrow.
-func (a *Accum) subAt(li int, lo, hi uint64) {
-	var bw uint64
-	a.limb[li], bw = bits.Sub64(a.limb[li], lo, 0)
-	a.limb[li+1], bw = bits.Sub64(a.limb[li+1], hi, bw)
-	for i := li + 2; bw != 0 && i < accLimbs; i++ {
-		a.limb[i], bw = bits.Sub64(a.limb[i], 0, bw)
+// carry adds 1 at limb index i, rippling up through the span into the fill.
+func (a *Accum) carry(i int) {
+	for h := int(a.hi); i < h; i++ {
+		a.limb[i]++
+		if a.limb[i] != 0 {
+			return
+		}
 	}
+	a.spill(a.fillSign() + 1)
+}
+
+// borrow subtracts 1 at limb index i, rippling up through the span into the
+// fill.
+func (a *Accum) borrow(i int) {
+	for h := int(a.hi); i < h; i++ {
+		a.limb[i]--
+		if a.limb[i] != ^uint64(0) {
+			return
+		}
+	}
+	a.spill(a.fillSign() - 1)
 }
 
 // AddAccum merges another accumulator into this one, exactly: afterwards a
 // holds the sum of both multisets. This is the tree-aggregation step — a
-// parent absorbing a subtree's partial sum.
+// parent absorbing a subtree's partial sum. b may be a itself.
 func (a *Accum) AddAccum(b *Accum) {
-	var c uint64
-	for i := range a.limb {
-		a.limb[i], c = bits.Add64(a.limb[i], b.limb[i], c)
-	}
 	a.nan += b.nan
 	a.posInf += b.posInf
 	a.negInf += b.negInf
-}
-
-// negate replaces the fixed-point window with its two's complement.
-func (a *Accum) negate() {
-	var c uint64 = 1
-	for i := range a.limb {
-		a.limb[i], c = bits.Add64(^a.limb[i], 0, c)
+	bl, bh, bneg := int(b.lo), int(b.hi), b.neg
+	switch {
+	case bl == bh && !bneg:
+		return // b's integer is zero
+	case a.lo == a.hi && !a.neg:
+		copy(a.limb[bl:bh], b.limb[bl:bh])
+		a.lo, a.hi, a.neg = b.lo, b.hi, b.neg
+		return
 	}
+	a.widen(min(int(a.lo), bl), max(int(a.hi), bh))
+	// Below bl b is zero, so the carry starts at bl; above bh it is b's fill.
+	var c uint64
+	i := bl
+	for ; i < bh; i++ {
+		a.limb[i], c = bits.Add64(a.limb[i], b.limb[i], c)
+	}
+	bFill := b.fillSign()
+	for h := int(a.hi); i < h; i++ {
+		a.limb[i], c = bits.Add64(a.limb[i], uint64(bFill), c)
+	}
+	a.spill(a.fillSign() + bFill + int(c))
 }
 
-// window returns the 64 bits starting at bit index from (little-endian
-// across limbs).
-func (a *Accum) window(from int) uint64 {
+// magnitude is a read-only view of |a|, limb by limb, for Round and
+// AppendWire. A negative integer's magnitude limb i is 0 below the lowest
+// nonzero limb (bottom), -limb at bottom and ^limb above it.
+type magnitude struct {
+	a           *Accum
+	neg         bool
+	bottom, top int // lowest and highest nonzero magnitude limbs; top is -1 for zero
+}
+
+func (a *Accum) magnitude() magnitude {
+	m := magnitude{a: a, neg: a.negative(), top: -1}
+	lo, hi := int(a.lo), int(a.hi)
+	b := lo
+	for b < hi && a.limb[b] == 0 {
+		b++
+	}
+	if !m.neg {
+		if b < hi {
+			t := hi - 1
+			for a.limb[t] == 0 {
+				t--
+			}
+			m.bottom, m.top = b, t
+		}
+		return m
+	}
+	// A negative integer is nonzero: its lowest nonzero limb is in the span
+	// or, if the span is all zero, the first fill limb (b == hi). Above
+	// bottom the magnitude is ^limb, zero wherever the limb is ^0.
+	t := hi - 1
+	for t > b && a.limb[t] == ^uint64(0) {
+		t--
+	}
+	m.bottom, m.top = b, max(t, b)
+	return m
+}
+
+// limb returns magnitude limb i.
+func (m *magnitude) limb(i int) uint64 {
+	if i < m.bottom || i > m.top {
+		return 0
+	}
+	v := m.a.at(i)
+	switch {
+	case !m.neg:
+		return v
+	case i == m.bottom:
+		return -v
+	}
+	return ^v
+}
+
+// window returns the 64 magnitude bits starting at bit index from
+// (little-endian across limbs).
+func (m *magnitude) window(from int) uint64 {
 	li, off := from>>6, uint(from&63)
-	w := a.limb[li] >> off
-	if off != 0 && li+1 < accLimbs {
-		w |= a.limb[li+1] << (64 - off)
+	w := m.limb(li) >> off
+	if off != 0 {
+		w |= m.limb(li+1) << (64 - off)
 	}
 	return w
 }
 
-// anyBelow reports whether any bit with index < n is set — the sticky bit of
-// the rounding step.
-func (a *Accum) anyBelow(n int) bool {
-	if n <= 0 {
-		return false
-	}
-	li, off := n>>6, uint(n&63)
-	for i := 0; i < li; i++ {
-		if a.limb[i] != 0 {
-			return true
-		}
-	}
-	return off != 0 && li < accLimbs && a.limb[li]<<(64-off) != 0
+// anyBelow reports whether any magnitude bit with index < n is set — the
+// sticky bit of the rounding step. Negation keeps the lowest set bit in
+// place, so it is the lowest set bit of limb bottom.
+func (m *magnitude) anyBelow(n int) bool {
+	return m.top >= 0 && 64*m.bottom+bits.TrailingZeros64(m.limb(m.bottom)) < n
 }
 
 // Round returns the sum as a float64, correctly rounded to nearest (ties to
@@ -207,20 +343,12 @@ func (a *Accum) Round() float64 {
 	if a.negInf > 0 {
 		return math.Inf(-1)
 	}
-	m := *a
-	neg := m.limb[accLimbs-1]>>63 != 0
-	if neg {
-		m.negate()
-	}
-	h := accLimbs - 1
-	for h >= 0 && m.limb[h] == 0 {
-		h--
-	}
-	if h < 0 {
+	m := a.magnitude()
+	if m.top < 0 {
 		return 0
 	}
-	msb := 64*h + bits.Len64(m.limb[h]) - 1 // highest set bit index
-	lsb := msb - 52                         // 53-bit normal mantissa window
+	msb := 64*m.top + bits.Len64(m.limb(m.top)) - 1 // highest set bit index
+	lsb := msb - 52                                 // 53-bit normal mantissa window
 	if msb < accSubLSB+52 {
 		lsb = accSubLSB // subnormal result: fixed grid at 2^-1074
 	}
@@ -234,7 +362,7 @@ func (a *Accum) Round() float64 {
 		mant++
 	}
 	v := math.Ldexp(float64(mant), lsb-accOffset)
-	if neg {
+	if m.neg {
 		v = -v
 	}
 	return v
@@ -255,23 +383,12 @@ const (
 // typical encoded sum costs ~20–30 bytes — the price of shipping a subtree's
 // sum with nothing rounded away. At most MaxAccumWire bytes are appended.
 func (a *Accum) AppendWire(dst []byte) []byte {
-	m := *a
+	m := a.magnitude()
 	var flags byte
-	if m.limb[accLimbs-1]>>63 != 0 {
+	if m.neg {
 		flags |= accFlagNeg
-		m.negate()
 	}
-	lo, hi := 0, accLimbs-1
-	for lo < accLimbs && m.limb[lo] == 0 {
-		lo++
-	}
-	for hi >= lo && m.limb[hi] == 0 {
-		hi--
-	}
-	span := 0
-	if lo <= hi {
-		span = hi - lo + 1
-	}
+	span := m.top - m.bottom + 1
 	flags |= byte(span)
 	if a.nan != 0 || a.posInf != 0 || a.negInf != 0 {
 		flags |= accFlagNonFinite
@@ -283,9 +400,9 @@ func (a *Accum) AppendWire(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, a.negInf)
 	}
 	if span > 0 {
-		dst = append(dst, byte(lo))
-		for i := lo; i <= hi; i++ {
-			dst = binary.LittleEndian.AppendUint64(dst, m.limb[i])
+		dst = append(dst, byte(m.bottom))
+		for i := m.bottom; i <= m.top; i++ {
+			dst = binary.LittleEndian.AppendUint64(dst, m.limb(i))
 		}
 	}
 	return dst
@@ -325,12 +442,21 @@ func DecodeAccumInto(a *Accum, src []byte) (int, error) {
 		if lo+span > accLimbs {
 			return 0, fmt.Errorf("nn: accumulator span [%d,%d) out of range", lo, lo+span)
 		}
-		for i := 0; i < span; i++ {
-			a.limb[lo+i] = binary.LittleEndian.Uint64(src[n:])
-			n += 8
+		limbs := a.limb[lo : lo+span]
+		for i := range limbs {
+			limbs[i] = binary.LittleEndian.Uint64(src[n+8*i:])
 		}
+		n += 8 * span
+		a.lo, a.hi = uint8(lo), uint8(lo+span)
 		if flags&accFlagNeg != 0 {
-			a.negate()
+			// Two's complement of the span; the carry-in is 1 at lo because
+			// the limbs below are zero. It survives the span only when the
+			// magnitude is zero (a padded encoding), leaving fill 0.
+			var c uint64 = 1
+			for i := range limbs {
+				limbs[i], c = bits.Add64(^limbs[i], 0, c)
+			}
+			a.neg = c == 0
 		}
 	}
 	return n, nil

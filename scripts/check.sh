@@ -24,7 +24,9 @@
 #                        regression seeds under internal/fed/testdata/fuzz
 #                        always run as part of step 4. Then the same over
 #                        Adam.Step against the plain loop it must equal bit
-#                        for bit, from raw (p, m, v, g) bit patterns
+#                        for bit, from raw (p, m, v, g) bit patterns, and
+#                        nn.Accum against the full-width accumulator it
+#                        must equal limb for limb, from operation traces
 #   7. bench compile   — every `go test` benchmark body runs once
 #                        (-benchtime 1x), so a paper-artefact, ablation or
 #                        cost-model benchmark that no longer compiles or
@@ -74,6 +76,9 @@ echo "==> fuzz smoke (${FUZZ_SMOKE}s per target)"
 go test -run '^$' -fuzz 'FuzzReadMessage$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" ./internal/nn/
+# Each input is a whole operation trace, so minimising a new one under the
+# default 60s budget would stall a short run; 200 tries is plenty.
+go test -run '^$' -fuzz 'FuzzAccumMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
 # each keeps the bench suite from bit-rotting.
