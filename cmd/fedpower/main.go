@@ -1,40 +1,338 @@
-// Command fedpower regenerates every table and figure of the paper's
-// evaluation (§IV) on the simulated substrate and prints plain-text
-// renderings: reward curves as sparklines, tables as aligned columns.
+// Command fedpower is the repository's one product command. It regenerates
+// every table and figure of the paper's evaluation (§IV) on the simulated
+// substrate, runs the extension experiments, and runs the real TCP
+// deployment of Fig. 1 one process per node role: the aggregation server
+// (serve), an interior aggregator of a tree (relay) and an edge device
+// (device).
 //
 // Usage:
 //
-//	fedpower [flags] <experiment>
+//	fedpower <command> [flags]
 //
-// Experiments: fig2, fig3, fig4, table3, fig5, overhead, all.
+// Each command accepts only the flags it reads; `fedpower <command> -h`
+// lists them. Results go to stdout, which is byte-identical from run to
+// run at any -parallel width; progress, notes and timings go to stderr.
+//
+// A two-device federation over loopback:
+//
+//	fedpower serve -addr :7070 -devices 2 -rounds 100
+//	fedpower device -server localhost:7070 -id 1 -apps fft,lu
+//	fedpower device -server localhost:7070 -id 2 -apps ocean,radix
+//
+// A tree is one serve root plus one relay per interior node:
+//
+//	fedpower serve -addr :7070 -devices 2 -rounds 100
+//	fedpower relay -addr :7071 -parent localhost:7070 -id 10001 -devices 8
+//	fedpower relay -addr :7072 -parent localhost:7070 -id 10002 -devices 8
+//	fedpower device -server localhost:7071 -apps fft,lu   (×8, and 8 on :7072)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
+	"log"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
 	"fedpower"
-	"fedpower/internal/experiment"
-	"fedpower/internal/stats"
 )
 
-// csvDir, when non-empty, receives one CSV file per experiment.
-var csvDir string
+// A command is one row of the command table: the usage text, the flag
+// sets and the `all` sequence are all read from it.
+type command struct {
+	name, summary string
+	// inAll puts the command in the `all` sequence, in table order.
+	inAll bool
+	// flags registers exactly the flags the command reads, writing into j.
+	flags func(fs *flag.FlagSet, j *job)
+	run   func(j *job) error
+}
+
+// commands is the command table. It is filled in init because `all` reads
+// it.
+var commands []command
+
+func init() {
+	commands = []command{
+		{"fig2", "reward-signal distribution over the V/f levels (Fig. 2)", true, profiled(csvFlag), (*job).fig2},
+		{"fig3", "local-only vs federated reward curves, 3 scenarios (Fig. 3)", true, profiled(train, csvFlag), (*job).fig3},
+		{"fig4", "mean selected frequency under each policy, scenario 2 (Fig. 4)", true, profiled(train, csvFlag), (*job).fig4},
+		{"table3", "exec time / IPS / power vs Profit+CollabPolicy (Table III)", true, profiled(train, evalEvery, csvFlag), (*job).table3},
+		{"fig5", "per-application comparison, 6 training apps per device (Fig. 5)", true, profiled(train, evalEvery, csvFlag), (*job).fig5},
+		{"overhead", "controller runtime overhead accounting (Sec. IV-C)", true, profiled(seedFlag), (*job).overhead},
+		{"governors", "federated RL vs classical OS governors and a power capper (extension)", true, profiled(train, csvFlag), (*job).governors},
+		{"hetero", "heterogeneous per-device power budgets (paper Sec. V future work)", true, profiled(train, csvFlag), (*job).hetero},
+		{"privacy", "reward vs raw-trace exposure: local / federated / central [7]", true, profiled(train, csvFlag), (*job).privacy},
+		{"multicore", "4-core shared-clock clusters with concurrent workloads (extension)", true, profiled(train, csvFlag), (*job).multicore},
+		{"trace", "train, then dump one greedy episode of -app as -format on stdout", false, profiled(train, traceFlags), (*job).trace},
+		{"sweep", "hyper-parameter sensitivity sweep along -dim", false, profiled(train, sweepFlags), (*job).sweep},
+		{"replicate", "repeat the Fig. 3 comparison across -n seeds (mean ± std)", false, profiled(train, replicateFlags), (*job).replicate},
+		{"resilience", "federation over real TCP with injected faults: drops, rejoins, quorum", false, profiled(resilienceFlags), (*job).resilience},
+		{"tree", "fleet-scale hierarchical aggregation over TCP: capacity per -topology", false, profiled(treeFlags), (*job).tree},
+		{"verify", "fast PASS/FAIL checklist of every headline reproduction claim", false, profiled(train, evalEvery), (*job).verify},
+		{"convergence", "rounds-to-threshold per scenario, federated vs local (Sec. III claim)", false, profiled(train), (*job).convergence},
+		{"apps", "per-application characteristics, optima and execution times", false, profiled(), (*job).apps},
+		{"platform", "the processor model: V/f table, voltages, power envelope", false, profiled(), (*job).platform},
+		{"all", "the paper artefacts and extensions in sequence", false, profiled(train, evalEvery, csvFlag), (*job).all},
+		{"serve", "the aggregation server of Fig. 1: R rounds of FedAvg over TCP", false, serveFlags, (*job).serve},
+		{"relay", "an interior tree aggregator: server to -devices children, client to -parent", false, relayFlags, (*job).relay},
+		{"device", "one edge device of Fig. 1: simulated processor, workload and RL controller", false, deviceFlags, (*job).device},
+	}
+}
+
+// A job is one parsed command line: the output streams and every value a
+// flag can set. A command's flags write only into the fields it reads;
+// where a library config struct exists, the flags write into it directly.
+type job struct {
+	out io.Writer
+	log *log.Logger
+
+	opts                           fedpower.Options // experiments; device: -steps, -interval, -seed
+	csvDir, cpuProfile, memProfile string
+	app, format, dim               string // trace, sweep
+	n                              int    // replicate
+	res                            fedpower.ResilienceOptions
+	treeOpts                       fedpower.TreeScaleOptions
+	topologies                     string
+	node                           node                 // serve, relay
+	part                           fedpower.Participant // device: -server, -id, -codec, -retries, -retry-base, -retry-max
+	trainApps, save                string               // device
+}
+
+// errUsage marks a command line that does not parse. The message and the
+// usage text are already on stderr; main exits 2.
+var errUsage = errors.New("usage error")
+
+func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "fedpower:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses and executes one command line.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	c, j, err := parse(args, stdout, stderr)
+	if err != nil {
+		return err
+	}
+	if j.csvDir != "" {
+		if err := os.MkdirAll(j.csvDir, 0o755); err != nil {
+			return err
+		}
+	}
+	if j.cpuProfile != "" {
+		f, err := os.Create(j.cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			_ = f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+			j.log.Printf("cpu profile written to %s", j.cpuProfile)
+		}()
+	}
+	start := time.Now()
+	if err := c.run(j); err != nil {
+		return fmt.Errorf("%s: %w", c.name, err)
+	}
+	if j.memProfile != "" {
+		runtime.GC() // materialise live-heap statistics before the snapshot
+		if err := create(j.memProfile, pprof.WriteHeapProfile); err != nil {
+			return err
+		}
+		j.log.Printf("heap profile written to %s", j.memProfile)
+	}
+	fmt.Fprintf(stderr, "[%s completed in %v]\n", c.name, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// parse looks the command up in the table and parses its flags into a
+// fresh job whose defaults are the library's.
+func parse(args []string, stdout, stderr io.Writer) (*command, *job, error) {
+	if len(args) == 0 {
+		usage(stderr)
+		return nil, nil, errUsage
+	}
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		usage(stderr)
+		return nil, nil, flag.ErrHelp
+	}
+	for i := range commands {
+		c := &commands[i]
+		if c.name != args[0] {
+			continue
+		}
+		j := &job{
+			out:      stdout,
+			log:      log.New(stderr, "fedpower "+c.name+": ", 0),
+			opts:     fedpower.DefaultOptions(),
+			res:      fedpower.DefaultResilienceOptions(),
+			treeOpts: fedpower.DefaultTreeScaleOptions(),
+		}
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		fs.Usage = func() {
+			fmt.Fprintf(stderr, "Usage: fedpower %s [flags]\n\n%s\n\nFlags:\n", c.name, c.summary)
+			fs.PrintDefaults()
+		}
+		c.flags(fs, j)
+		if err := fs.Parse(args[1:]); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return nil, nil, err
+			}
+			return nil, nil, errUsage
+		}
+		if fs.NArg() > 0 {
+			fmt.Fprintf(stderr, "fedpower %s: unexpected argument %q\n", c.name, fs.Arg(0))
+			fs.Usage()
+			return nil, nil, errUsage
+		}
+		return c, j, nil
+	}
+	if strings.HasPrefix(args[0], "-") {
+		fmt.Fprintf(stderr, "fedpower: flag %s before the command; flags follow it\n\n", args[0])
+	} else {
+		fmt.Fprintf(stderr, "fedpower: unknown command %q\n\n", args[0])
+	}
+	usage(stderr)
+	return nil, nil, errUsage
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "Usage: fedpower <command> [flags]\n\nCommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-11s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintf(w, "\n'fedpower <command> -h' lists the flags of one command.\n")
+}
+
+// The flag groups of the experiment commands. Each writes into the job,
+// with the library default as the flag default unless the command has its
+// own (resilience: 20 rounds).
+
+func profiled(groups ...func(*flag.FlagSet, *job)) func(*flag.FlagSet, *job) {
+	return func(fs *flag.FlagSet, j *job) {
+		fs.StringVar(&j.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		fs.StringVar(&j.memProfile, "memprofile", "", "write a pprof heap profile to this file after the run")
+		for _, g := range groups {
+			g(fs, j)
+		}
+	}
+}
+
+func seedFlag(fs *flag.FlagSet, j *job) {
+	fs.Int64Var(&j.opts.Seed, "seed", j.opts.Seed, "experiment root seed")
+}
+
+func train(fs *flag.FlagSet, j *job) {
+	seedFlag(fs, j)
+	fs.IntVar(&j.opts.Rounds, "rounds", j.opts.Rounds, "federated round count R")
+	fs.IntVar(&j.opts.StepsPerRound, "steps", j.opts.StepsPerRound, "steps per round T")
+	fs.IntVar(&j.opts.Parallelism, "parallel", 0, "worker-pool width for experiment units and federated clients (0 = all CPUs, 1 = sequential; results are bit-identical at any width)")
+}
+
+func evalEvery(fs *flag.FlagSet, j *job) {
+	fs.IntVar(&j.opts.ExecEvalEvery, "eval-every", j.opts.ExecEvalEvery, "run-to-completion evaluation cadence in rounds")
+}
+
+func csvFlag(fs *flag.FlagSet, j *job) {
+	fs.StringVar(&j.csvDir, "csv", "", "also write each experiment's data as CSV into this directory")
+}
+
+func traceFlags(fs *flag.FlagSet, j *job) {
+	fs.StringVar(&j.app, "app", "fft", "application to trace")
+	fs.StringVar(&j.format, "format", "csv", "trace output format: csv or jsonl")
+}
+
+func sweepFlags(fs *flag.FlagSet, j *job) {
+	fs.StringVar(&j.dim, "dim", "lr", "sweep dimension: lr, tau, batch or width")
+}
+
+func replicateFlags(fs *flag.FlagSet, j *job) {
+	fs.IntVar(&j.n, "n", 5, "number of independent seeds")
+}
+
+func resilienceFlags(fs *flag.FlagSet, j *job) {
+	r := &j.res
+	fs.Int64Var(&r.Options.Seed, "seed", r.Options.Seed, "experiment root seed")
+	fs.IntVar(&r.Options.Rounds, "rounds", 20, "federated round count R")
+	fs.IntVar(&r.Options.StepsPerRound, "steps", r.Options.StepsPerRound, "steps per round T")
+	fs.Float64Var(&r.Faults.DropRate, "drop-rate", 0.05, "per-I/O connection-drop probability")
+	fs.Float64Var(&r.Faults.TruncateRate, "truncate-rate", 0, "per-I/O frame-truncation probability")
+	fs.IntVar(&r.Quorum, "quorum", 1, "minimum surviving updates per round (0 = all devices)")
+	fs.Int64Var(&r.FaultSeed, "fault-seed", 1, "fault-schedule seed")
+	codecVar(fs, &r.Codec)
+}
+
+func treeFlags(fs *flag.FlagSet, j *job) {
+	t := &j.treeOpts
+	fs.Int64Var(&t.Seed, "seed", t.Seed, "seed of the synthetic trainers and the initial model")
+	fs.IntVar(&t.Rounds, "rounds", t.Rounds, "federated rounds per topology")
+	fs.IntVar(&t.Parallelism, "parallel", 0, "round worker width of every server in the tree (0 = automatic; results are bit-identical at any width)")
+	fs.StringVar(&j.topologies, "topology", "500,10x50,4x5x25", "comma-separated fan-out specs (\"500\" flat, \"4x5x25\" 3-level)")
+	codecVar(fs, &t.Codec)
+}
+
+// codecVar registers -codec, writing into p; the default is dense.
+func codecVar(fs *flag.FlagSet, p *fedpower.Codec) {
+	*p = fedpower.DenseCodec()
+	fs.Var((*codecValue)(p), "codec", "wire codec `name`: dense (the default), delta, quant8 or quant16; every node of a federation must use the same")
+}
+
+// codecValue is a -codec flag: an unknown codec name is a usage error.
+type codecValue fedpower.Codec
+
+func (v *codecValue) String() string { return (*fedpower.Codec)(v).String() }
+
+func (v *codecValue) Set(s string) (err error) {
+	*(*fedpower.Codec)(v), err = fedpower.ParseCodec(s)
+	return err
+}
+
+// idValue is a client-ID flag. IDs are uint32 on the wire, so a value that
+// does not fit is a usage error instead of another device's slot.
+type idValue uint32
+
+func (v *idValue) String() string { return strconv.FormatUint(uint64(*v), 10) }
+
+func (v *idValue) Set(s string) error {
+	n, err := strconv.ParseUint(s, 0, 32)
+	*v = idValue(n)
+	return err
+}
 
 // writeCSV writes one experiment's data file when -csv is set.
-func writeCSV(name string, write func(io.Writer) error) error {
-	if csvDir == "" {
+func (j *job) writeCSV(name string, write func(io.Writer) error) error {
+	if j.csvDir == "" {
 		return nil
 	}
-	path := filepath.Join(csvDir, name)
+	path := filepath.Join(j.csvDir, name)
+	if err := create(path, write); err != nil {
+		return err
+	}
+	j.log.Printf("csv written to %s", path)
+	return nil
+}
+
+// create writes the file at path through write; a failed close is an error.
+func create(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -47,844 +345,5 @@ func writeCSV(name string, write func(io.Writer) error) error {
 	if cerr != nil {
 		return fmt.Errorf("close %s: %w", path, cerr)
 	}
-	fmt.Printf("(csv written to %s)\n", path)
-	return nil
-}
-
-func main() {
-	rounds := flag.Int("rounds", 0, "override federated round count R (0 = paper default 100)")
-	steps := flag.Int("steps", 0, "override steps per round T (0 = paper default 100)")
-	seed := flag.Int64("seed", 1, "experiment root seed")
-	evalEvery := flag.Int("eval-every", 0, "override run-to-completion evaluation cadence in rounds")
-	quick := flag.Bool("quick", false, "reduced-budget run (30 rounds) for a fast look")
-	traceApp := flag.String("app", "fft", "application for the trace experiment")
-	traceFormat := flag.String("format", "csv", "trace output format: csv or jsonl")
-	sweepDim := flag.String("dim", "lr", "sweep dimension: lr, tau, batch or width")
-	replicates := flag.Int("n", 5, "number of independent seeds for the replicate experiment")
-	dropRate := flag.Float64("drop-rate", 0.05, "resilience: per-I/O connection-drop probability")
-	truncRate := flag.Float64("truncate-rate", 0.0, "resilience: per-I/O frame-truncation probability")
-	quorum := flag.Int("quorum", 1, "resilience: minimum surviving updates per round (0 = all devices)")
-	faultSeed := flag.Int64("fault-seed", 1, "resilience: fault-schedule seed")
-	codecName := flag.String("codec", "dense", "resilience/tree: wire codec — dense, delta, quant8 or quant16")
-	topologies := flag.String("topology", "500,10x50,4x5x25", "tree: comma-separated fan-out specs (\"500\" flat, \"4x5x25\" 3-level)")
-	parallel := flag.Int("parallel", 0, "worker-pool width for experiment units and federated clients (0 = all CPUs, 1 = sequential; results are bit-identical at any width)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file after the run")
-	flag.StringVar(&csvDir, "csv", "", "also write each experiment's data as CSV into this directory")
-	flag.Usage = usage
-	flag.Parse()
-
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "fedpower:", err)
-			os.Exit(1)
-		}
-	}
-
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
-	}
-
-	o := fedpower.DefaultOptions()
-	o.Seed = *seed
-	if *quick {
-		o.Rounds = 30
-	}
-	if *rounds > 0 {
-		o.Rounds = *rounds
-	}
-	if *steps > 0 {
-		o.StepsPerRound = *steps
-	}
-	if *evalEvery > 0 {
-		o.ExecEvalEvery = *evalEvery
-	}
-	o.Parallelism = *parallel
-
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedpower:", err)
-		os.Exit(1)
-	}
-
-	start := time.Now()
-	switch cmd := flag.Arg(0); cmd {
-	case "fig2":
-		err = runFig2(o)
-	case "fig3":
-		err = runFig3(o)
-	case "fig4":
-		err = runFig4(o)
-	case "table3":
-		err = runTable3(o)
-	case "fig5":
-		err = runFig5(o)
-	case "overhead":
-		err = runOverhead(o)
-	case "governors":
-		err = runGovernors(o)
-	case "hetero":
-		err = runHetero(o)
-	case "privacy":
-		err = runPrivacy(o)
-	case "multicore":
-		err = runMultiCore(o)
-	case "trace":
-		err = runTrace(o, *traceApp, *traceFormat)
-	case "sweep":
-		err = runSweep(o, *sweepDim)
-	case "replicate":
-		err = runReplicate(o, *replicates)
-	case "resilience":
-		err = runResilience(o, *dropRate, *truncRate, *quorum, *faultSeed, *codecName)
-	case "tree":
-		err = runTree(o, *topologies, *codecName)
-	case "verify":
-		err = runVerify(o)
-	case "apps":
-		err = runApps(o)
-	case "platform":
-		err = runPlatform(o)
-	case "convergence":
-		err = runConvergence(o)
-	case "all":
-		for _, f := range []func(fedpower.Options) error{runFig2, runFig3, runFig4, runTable3, runFig5, runOverhead, runGovernors, runHetero, runPrivacy, runMultiCore} {
-			if err = f(o); err != nil {
-				break
-			}
-			fmt.Println()
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "fedpower: unknown experiment %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if perr := stopProfiles(); perr != nil && err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedpower:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\n[%s completed in %v]\n", flag.Arg(0), time.Since(start).Round(time.Millisecond))
-}
-
-// startProfiles enables pprof profiling when requested. The returned stop
-// function finalises both profiles; it must run before the process exits or
-// the CPU profile is truncated and the heap profile never written.
-func startProfiles(cpu, mem string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			_ = cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return fmt.Errorf("close %s: %w", cpu, err)
-			}
-			fmt.Printf("(cpu profile written to %s)\n", cpu)
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // materialise live-heap statistics before the snapshot
-			werr := pprof.WriteHeapProfile(f)
-			cerr := f.Close()
-			if werr != nil {
-				return werr
-			}
-			if cerr != nil {
-				return fmt.Errorf("close %s: %w", mem, cerr)
-			}
-			fmt.Printf("(heap profile written to %s)\n", mem)
-		}
-		return nil
-	}, nil
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `Usage: fedpower [flags] <experiment>
-
-Experiments (paper artefact each regenerates):
-  fig2      reward-signal distribution over the V/f levels (Fig. 2)
-  fig3      local-only vs federated reward curves, 3 scenarios (Fig. 3)
-  fig4      mean selected frequency under each policy, scenario 2 (Fig. 4)
-  table3    exec time / IPS / power vs Profit+CollabPolicy (Table III)
-  fig5      per-application comparison, 6 training apps per device (Fig. 5)
-  overhead  controller runtime overhead accounting (Sec. IV-C)
-  governors federated RL vs classical OS governors and a power capper (extension)
-  hetero    heterogeneous per-device power budgets (paper Sec. V future work)
-  privacy   reward vs raw-trace exposure: local / federated / central [7]
-  multicore 4-core shared-clock clusters with concurrent workloads (extension)
-  trace     train, then dump one greedy episode of -app as -format on stdout
-  sweep     hyper-parameter sensitivity sweep along -dim
-  replicate repeat the Fig. 3 comparison across -n seeds (mean ± std)
-  resilience federation over real TCP with injected faults: drops, rejoins, quorum
-  tree      fleet-scale hierarchical aggregation over TCP: capacity per -topology
-
-  verify    fast PASS/FAIL checklist of every headline reproduction claim
-  convergence  rounds-to-threshold per scenario, federated vs local (Sec. III claim)
-  apps      per-application characteristics, optima and execution times
-  platform  the processor model: V/f table, voltages, power envelope
-  all       the paper artefacts and extensions in sequence
-
-Flags:
-`)
-	flag.PrintDefaults()
-}
-
-func runFig2(o fedpower.Options) error {
-	fmt.Println("== Fig. 2: reward signal r(f, P) for P_crit=0.6 W, k_offset=0.05 W ==")
-	rp := o.Core.Reward
-	// Resolve the transition band [P_crit, P_crit+2k] finely.
-	powers := []float64{
-		0.40, 0.50, rp.PCritW,
-		rp.PCritW + 0.5*rp.KOffsetW, rp.PCritW + rp.KOffsetW,
-		rp.PCritW + 1.5*rp.KOffsetW, rp.PCritW + 2*rp.KOffsetW,
-		rp.PCritW + 3*rp.KOffsetW,
-	}
-	res := experiment.RunFig2Powers(o.Table, rp, powers)
-	if err := writeCSV("fig2.csv", func(w io.Writer) error { return fedpower.WriteFig2CSV(w, res) }); err != nil {
-		return err
-	}
-	headers := []string{"f [MHz]"}
-	for _, p := range res.PowerW {
-		headers = append(headers, fmt.Sprintf("P=%.2fW", p))
-	}
-	var rows [][]string
-	for k := len(res.FreqMHz) - 1; k >= 0; k-- {
-		row := []string{fmt.Sprintf("%.1f", res.FreqMHz[k])}
-		for _, r := range res.Reward[k] {
-			row = append(row, fmt.Sprintf("%+.2f", r))
-		}
-		rows = append(rows, row)
-	}
-	fmt.Print(experiment.Table(headers, rows))
-	return nil
-}
-
-func runFig3(o fedpower.Options) error {
-	fmt.Printf("== Fig. 3: evaluation reward, local-only vs federated (R=%d rounds) ==\n", o.Rounds)
-	res, err := fedpower.RunFig3(o)
-	if err != nil {
-		return err
-	}
-	for _, sc := range res.Scenarios {
-		fmt.Printf("\nScenario %s  (device A: %v, device B: %v)\n",
-			sc.Scenario.Name, sc.Scenario.Devices[0], sc.Scenario.Devices[1])
-		fmt.Printf("  L%s-A  %s  avg %.3f\n", sc.Scenario.Name,
-			experiment.Sparkline(experiment.RewardSeries(sc.Local[0]), 60, -1, 1),
-			experiment.Mean(sc.Local[0], func(e experiment.RoundEval) float64 { return e.Reward }))
-		fmt.Printf("  L%s-B  %s  avg %.3f\n", sc.Scenario.Name,
-			experiment.Sparkline(experiment.RewardSeries(sc.Local[1]), 60, -1, 1),
-			experiment.Mean(sc.Local[1], func(e experiment.RoundEval) float64 { return e.Reward }))
-		fmt.Printf("  F%s    %s  avg %.3f\n", sc.Scenario.Name,
-			experiment.Sparkline(experiment.RewardSeries(sc.Fed), 60, -1, 1),
-			sc.AvgFedReward())
-	}
-	if err := writeCSV("fig3.csv", func(w io.Writer) error { return fedpower.WriteFig3CSV(w, res) }); err != nil {
-		return err
-	}
-	pct, shifted := res.ImprovementPct()
-	note := ""
-	if shifted {
-		note = " (reward-floor-shifted ratio)"
-	}
-	fmt.Printf("\nFederated vs local-only average reward improvement: %+.0f%%%s (paper: +57%%)\n", pct, note)
-	return nil
-}
-
-func runFig4(o fedpower.Options) error {
-	fmt.Printf("== Fig. 4: mean selected frequency during evaluation, scenario 2 (R=%d) ==\n", o.Rounds)
-	scRes, err := fedpower.RunScenario(o, 1, fedpower.TableII()[1])
-	if err != nil {
-		return err
-	}
-	f4, err := fedpower.Fig4FromScenario(scRes)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig4.csv", func(w io.Writer) error { return fedpower.WriteFig4CSV(w, f4) }); err != nil {
-		return err
-	}
-	avg := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	fMax := o.Table.MaxFreqMHz()
-	fmt.Printf("  L2-A (water-ns/water-sp) %s  avg %.0f MHz\n",
-		experiment.Sparkline(f4.LocalA, 60, 0, 1), avg(f4.LocalA)*fMax)
-	fmt.Printf("  L2-B (ocean/radix)       %s  avg %.0f MHz\n",
-		experiment.Sparkline(f4.LocalB, 60, 0, 1), avg(f4.LocalB)*fMax)
-	fmt.Printf("  F2   (federated)         %s  avg %.0f MHz\n",
-		experiment.Sparkline(f4.Fed, 60, 0, 1), avg(f4.Fed)*fMax)
-	fmt.Println("\n(The policy trained only on the memory-bound ocean/radix pair selects")
-	fmt.Println(" systematically higher frequencies, causing power violations on the")
-	fmt.Println(" compute-bound evaluation applications.)")
-	return nil
-}
-
-func runTable3(o fedpower.Options) error {
-	fmt.Printf("== Table III: comparison with Profit+CollabPolicy (avg over %d scenarios) ==\n", len(fedpower.TableII()))
-	res, err := fedpower.RunTable3(o)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("table3.csv", func(w io.Writer) error { return fedpower.WriteTable3CSV(w, res) }); err != nil {
-		return err
-	}
-	rows := [][]string{
-		{"Exec. Time [s]", fmt.Sprintf("%.2f (%+.0f%%)", res.OursExecS, res.ExecDeltaPct()), fmt.Sprintf("%.2f", res.BaseExecS), "24.24 (-20%)", "30.38"},
-		{"IPS [x10^9]", fmt.Sprintf("%.3f (%+.0f%%)", res.OursIPS/1e9, res.IPSDeltaPct()), fmt.Sprintf("%.3f", res.BaseIPS/1e9), "0.92e6 (+17%)", "0.79e6"},
-		{"Power [W]", fmt.Sprintf("%.3f (%+.0f%%)", res.OursPowerW, res.PowerDeltaPct()), fmt.Sprintf("%.3f", res.BasePowerW), "0.52 (+9%)", "0.47"},
-	}
-	fmt.Print(experiment.Table([]string{"Category", "Ours", "Profit+Collab", "paper Ours", "paper P+C"}, rows))
-	fmt.Println("\n(Absolute IPS differs from the paper because the simulator counts all")
-	fmt.Println(" retired instructions; the paper's counter setup reports ~10^6. The")
-	fmt.Println(" ratios — who wins and by how much — are the reproduction target.)")
-	return nil
-}
-
-func runFig5(o fedpower.Options) error {
-	fmt.Println("== Fig. 5: per-application comparison, six training apps per device ==")
-	res, err := fedpower.RunFig5(o)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("fig5.csv", func(w io.Writer) error { return fedpower.WriteFig5CSV(w, res) }); err != nil {
-		return err
-	}
-	cmp := res.Comparison
-	var rows [][]string
-	for _, app := range cmp.Apps() {
-		rows = append(rows, []string{
-			app,
-			fmt.Sprintf("%.1f", cmp.Ours[app].Exec.Mean()),
-			fmt.Sprintf("%.1f", cmp.Base[app].Exec.Mean()),
-			fmt.Sprintf("%.3f", cmp.Ours[app].IPS.Mean()/1e9),
-			fmt.Sprintf("%.3f", cmp.Base[app].IPS.Mean()/1e9),
-			fmt.Sprintf("%.3f", cmp.Ours[app].Power.Mean()),
-			fmt.Sprintf("%.3f", cmp.Base[app].Power.Mean()),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"App", "Exec[s] ours", "Exec[s] P+C", "IPS[G] ours", "IPS[G] P+C", "P[W] ours", "P[W] P+C"},
-		rows))
-	avgE, maxE := res.MeanExecSpeedupPct()
-	avgI, maxI := res.MeanIPSGainPct()
-	fmt.Printf("\nExec-time reduction: avg %.0f%%, max %.0f%% (paper: 22%% / 53%%)\n", avgE, maxE)
-	fmt.Printf("IPS increase:        avg %.0f%%, max %.0f%% (paper: 29%% / 95%%)\n", avgI, maxI)
-	return nil
-}
-
-func runGovernors(o fedpower.Options) error {
-	fmt.Println("== Extension: federated RL vs classical governors (all apps to completion) ==")
-	res, err := fedpower.RunGovernors(o)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("governors.csv", func(w io.Writer) error { return fedpower.WriteGovernorsCSV(w, res) }); err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, pol := range res.Policies {
-		reward, execS, powerW, violations := res.Summary(pol)
-		rows = append(rows, []string{
-			pol,
-			fmt.Sprintf("%+.3f", reward),
-			fmt.Sprintf("%.1f", execS),
-			fmt.Sprintf("%.3f", powerW),
-			fmt.Sprintf("%d", violations),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"Policy", "avg reward", "avg exec [s]", "avg power [W]", "violations"},
-		rows))
-	fmt.Println("\n(performance ignores the budget, powersave ignores performance, the")
-	fmt.Println(" capper reacts after violations; the learned policy anticipates them.)")
-	return nil
-}
-
-func runHetero(o fedpower.Options) error {
-	budgets := []float64{0.45, 0.60, 0.75}
-	fmt.Printf("== Extension (paper Sec. V): heterogeneous per-device budgets %v W ==\n", budgets)
-	res, err := fedpower.RunHeterogeneous(o, budgets)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("hetero.csv", func(w io.Writer) error { return fedpower.WriteHeteroCSV(w, res) }); err != nil {
-		return err
-	}
-	var rows [][]string
-	for i, b := range res.Budgets {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.2f", b),
-			fmt.Sprintf("%+.3f", res.Hetero[i].AvgReward),
-			fmt.Sprintf("%.1f%%", res.Hetero[i].ViolationRate*100),
-			fmt.Sprintf("%+.3f", res.Homog[i].AvgReward),
-			fmt.Sprintf("%.1f%%", res.Homog[i].ViolationRate*100),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"Budget [W]", "hetero reward", "hetero viol.", "mean-trained reward", "mean-trained viol."},
-		rows))
-	fmt.Println("\n(The shared model averages conflicting budgets — the agent state has no")
-	fmt.Println(" budget feature to condition on, which is why the paper defers varying")
-	fmt.Println(" objectives to future work.)")
-	return nil
-}
-
-func runPrivacy(o fedpower.Options) error {
-	fmt.Println("== Extension: privacy/communication comparison (split-half scenario) ==")
-	res, err := fedpower.RunPrivacy(o)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("privacy.csv", func(w io.Writer) error { return fedpower.WritePrivacyCSV(w, res) }); err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, a := range []fedpower.ArchEval{res.Local, res.Federated, res.Central} {
-		rows = append(rows, []string{
-			a.Name,
-			fmt.Sprintf("%+.3f", a.AvgReward),
-			fmt.Sprintf("%d", a.TotalBytes),
-			fmt.Sprintf("%d", a.RawTraceBytes),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"Architecture", "avg eval reward", "total comms [B]", "raw traces exposed [B]"},
-		rows))
-	fmt.Println("\n(The central architecture of [7] learns from the merged raw stream but")
-	fmt.Println(" exposes every power/counter sample — the side channel the paper's")
-	fmt.Println(" federated protocol eliminates at comparable policy quality.)")
-	return nil
-}
-
-func runTrace(o fedpower.Options, app, format string) error {
-	var rec fedpower.TraceRecorder
-	switch format {
-	case "csv":
-		rec = fedpower.NewCSVTraceRecorder(os.Stdout)
-	case "jsonl":
-		rec = fedpower.NewJSONLTraceRecorder(os.Stdout)
-	default:
-		return fmt.Errorf("unknown trace format %q (want csv or jsonl)", format)
-	}
-	steps, err := fedpower.RecordEpisode(o, app, rec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "fedpower: recorded %d control intervals of %s\n", steps, app)
-	return nil
-}
-
-func runApps(o fedpower.Options) error {
-	fmt.Println("== Evaluation applications (SPLASH-2-style models) ==")
-	table := o.Table
-	pm := o.Power
-	budget := o.Core.Reward.PCritW
-	var rows [][]string
-	for _, spec := range fedpower.SPLASH2() {
-		app := fedpower.NewApp(spec)
-		dev := fedpower.NewDevice(table, pm, rand.New(rand.NewSource(1)))
-		dev.Load(app)
-		opt := dev.OptimalLevel(app.Demand(), budget)
-		lv := table.Level(opt)
-		dem := app.Demand()
-		ipc := 1 / (dem.BaseCPI + dem.MPKI/1000*dem.MemLatencyNs*lv.FreqMHz/1000)
-		execT := spec.TotalInstr / (ipc * lv.FreqMHz * 1e6)
-		class := "compute"
-		if dem.MPKI >= 15 {
-			class = "memory"
-		} else if dem.MPKI >= 5 {
-			class = "mixed"
-		}
-		rows = append(rows, []string{
-			spec.Name, class,
-			fmt.Sprintf("%.2f", dem.BaseCPI),
-			fmt.Sprintf("%.1f", dem.MPKI),
-			fmt.Sprintf("%.2f", dem.Activity),
-			fmt.Sprintf("%d (%.0f MHz)", opt, lv.FreqMHz),
-			fmt.Sprintf("%.1f", execT),
-			fmt.Sprintf("%d", len(spec.Phases)),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"App", "Class", "CPI", "MPKI", "Act", "Optimal level @0.6W", "Exec@opt [s]", "Phases"},
-		rows))
-	return nil
-}
-
-func runPlatform(o fedpower.Options) error {
-	fmt.Println("== Processor model (NVIDIA Jetson Nano class) ==")
-	table := o.Table
-	pm := o.Power
-	// Power envelope per level for the extreme application classes.
-	cmp, err := fedpower.AppByName("water-ns")
-	if err != nil {
-		return err
-	}
-	mem, err := fedpower.AppByName("ocean")
-	if err != nil {
-		return err
-	}
-	power := func(spec fedpower.AppSpec, k int) float64 {
-		lv := table.Level(k)
-		d := fedpower.NewApp(spec).Demand()
-		ipc := 1 / (d.BaseCPI + d.MPKI/1000*d.MemLatencyNs*lv.FreqMHz/1000)
-		return pm.Total(lv.VoltV, lv.FreqMHz, ipc, d.Activity)
-	}
-	var rows [][]string
-	for k := 0; k < table.Len(); k++ {
-		lv := table.Level(k)
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.1f", lv.FreqMHz),
-			fmt.Sprintf("%.3f", lv.VoltV),
-			fmt.Sprintf("%.3f", power(cmp, k)),
-			fmt.Sprintf("%.3f", power(mem, k)),
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"Level", "f [MHz]", "V [V]", "P compute (water-ns) [W]", "P memory (ocean) [W]"},
-		rows))
-	fmt.Printf("\npower budget P_crit = %.1f W crosses the compute column mid-range\n", o.Core.Reward.PCritW)
-	fmt.Println("and never crosses the memory column — the property the experiments exercise.")
-	return nil
-}
-
-func runConvergence(o fedpower.Options) error {
-	fmt.Printf("== Convergence: first round from which the window-mean reward SUSTAINS a threshold ==\n")
-	// 0.4 sits between the federated plateau (~0.55-0.64) and the failing
-	// local policies' averages, so it separates the regimes; a policy that
-	// touches the level and later degrades does not count.
-	const threshold, window = 0.4, 6
-	fmt.Printf("threshold %.2f, window %d rounds (R=%d)\n\n", threshold, window, o.Rounds)
-	var rows [][]string
-	for i, sc := range fedpower.TableII() {
-		res, err := fedpower.RunScenario(o, i, sc)
-		if err != nil {
-			return err
-		}
-		show := func(r int) string {
-			if r < 0 {
-				return "never"
-			}
-			return fmt.Sprintf("%d", r)
-		}
-		rows = append(rows, []string{
-			sc.Name,
-			show(fedpower.RoundsToSustain(res.Fed, threshold, window)),
-			show(fedpower.RoundsToSustain(res.Local[0], threshold, window)),
-			show(fedpower.RoundsToSustain(res.Local[1], threshold, window)),
-		})
-	}
-	fmt.Print(experiment.Table([]string{"Scenario", "federated", "local A", "local B"}, rows))
-	fmt.Println("\n(Fig. 3's message in one table: per scenario one local policy happens to")
-	fmt.Println(" train on generalisable applications and sustains early, the other one")
-	fmt.Println(" degrades and typically never sustains. Only the federated policy sustains")
-	fmt.Println(" the level in every scenario — robustness is the collaborative win; its")
-	fmt.Println(" late sustain point reflects rare single-round dips on borderline apps.)")
-	return nil
-}
-
-func runReplicate(o fedpower.Options, n int) error {
-	if n < 2 {
-		return fmt.Errorf("replicate needs at least 2 seeds, got %d", n)
-	}
-	seeds := fedpower.DefaultReplicationSeeds(o.Seed, n)
-	fmt.Printf("== Replication: Fig. 3 comparison across %d seeds (R=%d each) ==\n", n, o.Rounds)
-	rep, err := fedpower.RunReplication(o, seeds)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for i, seed := range rep.Seeds {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", seed),
-			fmt.Sprintf("%+.3f", rep.FedReward[i]),
-			fmt.Sprintf("%+.3f", rep.LocalReward[i]),
-			fmt.Sprintf("%+.0f%%", rep.ImprovementPct[i]),
-		})
-	}
-	fmt.Print(experiment.Table([]string{"Seed", "fed reward", "local reward", "improvement"}, rows))
-	mean, std := rep.Summary()
-	fmt.Printf("\nimprovement across seeds: %+.0f%% ± %.0f%% (paper single run: +57%%)\n", mean, std)
-	if rep.AllPositive() {
-		fmt.Println("federated beat local-only under every seed")
-	} else {
-		fmt.Println("WARNING: federated did not beat local-only under every seed")
-	}
-	return nil
-}
-
-// runVerify is the one-command reproduction validator: it re-derives every
-// headline claim at a reduced (but deterministic) budget and prints a
-// PASS/FAIL checklist, exiting non-zero on any failure.
-func runVerify(o fedpower.Options) error {
-	fmt.Println("== Reproduction self-check ==")
-	failures := 0
-	check := func(name string, ok bool, detail string) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("  [%s] %-52s %s\n", status, name, detail)
-	}
-
-	// Structural claims (exact).
-	table := fedpower.JetsonNanoTable()
-	params := fedpower.DefaultControllerParams(table.Len())
-	ctrl := fedpower.NewController(params, rand.New(rand.NewSource(1)))
-	check("15 Jetson Nano V/f levels, 102-1479 MHz",
-		table.Len() == 15 && stats.ApproxEqual(table.MinFreqMHz(), 102) && stats.ApproxEqual(table.MaxFreqMHz(), 1479),
-		fmt.Sprintf("%d levels", table.Len()))
-	check("policy network has 687 parameters", ctrl.NumParams() == 687,
-		fmt.Sprintf("%d", ctrl.NumParams()))
-	check("model transfer ~2.8 kB", fedpower.TransferSize(687) == 2757,
-		fmt.Sprintf("%d B", fedpower.TransferSize(687)))
-	check("replay buffer ~100 kB", fedpower.NewReplayBuffer(4000).Footprint(fedpower.StateDim) == 112000,
-		fmt.Sprintf("%d B", fedpower.NewReplayBuffer(4000).Footprint(fedpower.StateDim)))
-	rp := params.Reward
-	check("reward Eq.(4) anchors",
-		stats.ApproxEqual(rp.Reward(1, 0.5), 1) && stats.ApproxEqual(rp.Reward(1, 0.65), 0) && stats.ApproxEqual(rp.Reward(1, 0.9), -1),
-		"r(1,0.5)=1 r(1,0.65)=0 r(1,0.9)=-1")
-
-	// Behavioural claims (reduced budget, deterministic seed).
-	vo := o
-	vo.Rounds = 40
-	vo.StepsPerRound = 100
-	vo.EvalSteps = 15
-	sc2, err := fedpower.RunScenario(vo, 1, fedpower.TableII()[1])
-	if err != nil {
-		return err
-	}
-	fed, local := sc2.AvgFedReward(), sc2.AvgLocalReward()
-	check("Fig.3: federated beats local-only (scenario 2)", fed > local,
-		fmt.Sprintf("%.3f vs %.3f", fed, local))
-	f4, err := fedpower.Fig4FromScenario(sc2)
-	if err != nil {
-		return err
-	}
-	meanOf := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	check("Fig.4: ocean/radix policy picks higher frequencies",
-		meanOf(f4.LocalB) > meanOf(f4.Fed) && meanOf(f4.LocalB) > meanOf(f4.LocalA),
-		fmt.Sprintf("localB %.2f, fed %.2f, localA %.2f", meanOf(f4.LocalB), meanOf(f4.Fed), meanOf(f4.LocalA)))
-
-	co := o // full budget for the baseline comparison: it needs convergence
-	cmp, err := fedpower.RunTable3(co)
-	if err != nil {
-		return err
-	}
-	check("Table III: ours faster than Profit+CollabPolicy", cmp.OursExecS < cmp.BaseExecS,
-		fmt.Sprintf("%.1f s vs %.1f s", cmp.OursExecS, cmp.BaseExecS))
-	check("Table III: ours higher IPS", cmp.OursIPS > cmp.BaseIPS,
-		fmt.Sprintf("%.2fG vs %.2fG", cmp.OursIPS/1e9, cmp.BaseIPS/1e9))
-	check("Table III: both under the power constraint",
-		cmp.OursPowerW < 0.6 && cmp.BasePowerW < 0.6,
-		fmt.Sprintf("%.2f W / %.2f W", cmp.OursPowerW, cmp.BasePowerW))
-
-	if failures > 0 {
-		return fmt.Errorf("%d reproduction checks failed", failures)
-	}
-	fmt.Println("\nall reproduction checks passed")
-	return nil
-}
-
-func runSweep(o fedpower.Options, dim string) error {
-	pts, err := experiment.SweepByName(dim)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Sensitivity sweep: %s (scenario 2, %d rounds per point) ==\n", dim, o.Rounds)
-	res, err := experiment.RunSweep(o, dim, pts)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for i, label := range res.Labels {
-		marker := ""
-		if label == res.Best() {
-			marker = "  <- best"
-		}
-		rows = append(rows, []string{label, fmt.Sprintf("%+.3f%s", res.Reward[i], marker)})
-	}
-	fmt.Print(experiment.Table([]string{"Configuration", "avg eval reward"}, rows))
-	return nil
-}
-
-func runMultiCore(o fedpower.Options) error {
-	fmt.Println("== Extension: 4-core shared-clock clusters, concurrent workloads ==")
-	res, err := fedpower.RunMultiCore(o)
-	if err != nil {
-		return err
-	}
-	if err := writeCSV("multicore.csv", func(w io.Writer) error { return fedpower.WriteMultiCoreCSV(w, res) }); err != nil {
-		return err
-	}
-	fmt.Printf("cluster budget %.1f W, %d cores per device\n\n", res.BudgetW, res.Cores)
-	fmt.Printf("  local-A %s  avg %.3f\n",
-		experiment.Sparkline(experiment.RewardSeries(res.Local[0]), 60, -1, 1),
-		experiment.Mean(res.Local[0], func(e experiment.RoundEval) float64 { return e.Reward }))
-	fmt.Printf("  local-B %s  avg %.3f\n",
-		experiment.Sparkline(experiment.RewardSeries(res.Local[1]), 60, -1, 1),
-		experiment.Mean(res.Local[1], func(e experiment.RoundEval) float64 { return e.Reward }))
-	fmt.Printf("  fed     %s  avg %.3f\n",
-		experiment.Sparkline(experiment.RewardSeries(res.Fed), 60, -1, 1),
-		res.AvgFedReward())
-	fmt.Printf("\nfederated vs local-only: %+.3f vs %+.3f average reward\n",
-		res.AvgFedReward(), res.AvgLocalReward())
-	return nil
-}
-
-func runResilience(o fedpower.Options, dropRate, truncRate float64, quorum int, faultSeed int64, codecName string) error {
-	fmt.Println("== Resilience: TCP federation under injected faults ==")
-	codec, err := fedpower.ParseCodec(codecName)
-	if err != nil {
-		return err
-	}
-	r := fedpower.DefaultResilienceOptions()
-	r.Options = o
-	r.Codec = codec
-	if o.Rounds == fedpower.DefaultOptions().Rounds {
-		// The paper-sized 100-round run is overkill for a fault demo; keep
-		// the scenario snappy unless -rounds asked otherwise.
-		r.Options.Rounds = 20
-	}
-	r.Quorum = quorum
-	r.Faults.DropRate = dropRate
-	r.Faults.TruncateRate = truncRate
-	r.FaultSeed = faultSeed
-	r.RoundTimeout = 10 * time.Second
-	r.Retry = fedpower.Backoff{
-		Attempts: 6,
-		Base:     20 * time.Millisecond,
-		Max:      500 * time.Millisecond,
-		Jitter:   rand.New(rand.NewSource(faultSeed + 1)),
-	}
-	fmt.Printf("devices %d, rounds %d, drop %.0f%%, truncate %.0f%%, quorum %d, codec %s\n\n",
-		len(r.Scenario.Devices), r.Options.Rounds, dropRate*100, truncRate*100, quorum, codec)
-
-	res, err := fedpower.RunResilience(r)
-	if err != nil {
-		return err
-	}
-	numParams := fedpower.NewController(fedpower.DefaultControllerParams(fedpower.JetsonNanoTable().Len()),
-		rand.New(rand.NewSource(0))).NumParams()
-	rows := [][]string{
-		{"Rounds completed", fmt.Sprintf("%d / %d", res.RoundsCompleted, r.Options.Rounds)},
-		{"Injected faults", fmt.Sprintf("%d", res.FaultEvents)},
-		{"Server drops / rejoins", fmt.Sprintf("%d / %d", res.Drops, res.Rejoins)},
-		{"Wire codec", fmt.Sprintf("%s (%d B per model message)", codec, codec.TransferSize(numParams))},
-		{"Server bytes sent / received", fmt.Sprintf("%d / %d", res.ServerBytesSent, res.ServerBytesReceived)},
-		{"Final eval reward (12 apps)", fmt.Sprintf("%+.3f", res.FinalReward)},
-	}
-	fmt.Print(experiment.Table([]string{"Quantity", "value"}, rows))
-	for _, c := range res.Clients {
-		status := "completed"
-		if c.Err != "" {
-			status = c.Err
-		}
-		fmt.Printf("  device %d: last round %d, %d reconnects, %d B sent — %s\n",
-			c.ID, c.LastRound, c.Reconnects, c.BytesSent, status)
-	}
-	if res.Err != "" {
-		fmt.Printf("\nrun degraded: %s\n", res.Err)
-	} else {
-		fmt.Println("\nall rounds committed despite the injected faults")
-	}
-	return nil
-}
-
-func runTree(o fedpower.Options, topologies, codecName string) error {
-	fmt.Println("== Fleet scale: hierarchical aggregation capacity over TCP ==")
-	codec, err := fedpower.ParseCodec(codecName)
-	if err != nil {
-		return err
-	}
-	base := fedpower.DefaultTreeScaleOptions()
-	base.Seed = o.Seed
-	base.Codec = codec
-	base.Parallelism = o.Parallelism
-	if o.Rounds != fedpower.DefaultOptions().Rounds {
-		base.Rounds = o.Rounds
-	}
-	// Quantized codecs re-round on every hop, so the tree-vs-flat identity
-	// holds for the lossless codecs only; skip the reference run otherwise.
-	base.Verify = !strings.HasPrefix(codec.String(), "quant")
-	fmt.Printf("rounds %d, %d params, codec %s; lossless runs verified bit-identical to flat FedAvg\n\n",
-		base.Rounds, base.NumParams, codec)
-
-	var rows [][]string
-	for _, spec := range strings.Split(topologies, ",") {
-		t := base
-		t.Topology = strings.TrimSpace(spec)
-		res, err := fedpower.RunTreeScale(t)
-		if err != nil {
-			return err
-		}
-		hopBytes := "-"
-		if res.Aggregators > 0 && res.RoundsCompleted > 0 {
-			hopBytes = fmt.Sprintf("%.0f", float64(res.UplinkBytesSent+res.UplinkBytesReceived)/
-				float64(res.Aggregators*res.RoundsCompleted))
-		}
-		match := "yes"
-		switch {
-		case !t.Verify:
-			match = "-"
-		case !res.FlatMatch:
-			match = "NO"
-		}
-		rows = append(rows, []string{
-			t.Topology,
-			fmt.Sprintf("%d", res.Devices),
-			fmt.Sprintf("%d", res.Aggregators),
-			fmt.Sprintf("%d", res.Depth),
-			fmt.Sprintf("%.1f", res.RoundsPerSec),
-			hopBytes,
-			fmt.Sprintf("%d", res.RootBytesSent+res.RootBytesReceived),
-			match,
-		})
-	}
-	fmt.Print(experiment.Table(
-		[]string{"Topology", "devices", "aggs", "depth", "rounds/s", "B/hop/round", "root bytes", "flat-identical"},
-		rows))
-	return nil
-}
-
-func runOverhead(o fedpower.Options) error {
-	fmt.Println("== Sec. IV-C: runtime overhead ==")
-	res := fedpower.RunOverhead(o, 5000)
-	rows := [][]string{
-		{"Control decision latency", res.DecisionLatency.String(), "29 ms (Jetson Nano, Python)"},
-		{"Overhead vs 500 ms interval", fmt.Sprintf("%.4f%%", res.OverheadPct), "5.9%"},
-		{"Policy update latency", res.UpdateLatency.String(), "-"},
-		{"Model parameters", fmt.Sprintf("%d", res.ModelParams), "687 implied"},
-		{"Bytes per model transfer", fmt.Sprintf("%d", res.TransferBytes), "~2.8 kB"},
-		{"Replay buffer storage", fmt.Sprintf("%d B", res.ReplayBytes), "~100 kB"},
-	}
-	fmt.Print(experiment.Table([]string{"Quantity", "measured", "paper"}, rows))
 	return nil
 }

@@ -174,7 +174,7 @@ func device(server, name string, id uint32, seed int64, appNames []string, flaky
 			// In-process rounds are sub-millisecond, so the retry pacing
 			// must be fast enough that the rigged device rejoins before
 			// the server finishes the remaining rounds without it; real
-			// deployments (cmd/feddevice) keep human-scale backoff.
+			// deployments (`fedpower device`) keep human-scale backoff.
 			Base:   2 * time.Millisecond,
 			Jitter: rand.New(rand.NewSource(seed + 3)),
 		},

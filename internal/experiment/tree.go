@@ -105,10 +105,10 @@ type TreeScaleResult struct {
 	// UplinkBytesSent/Received sum every aggregator's parent-link traffic —
 	// divided by Aggregators and RoundsCompleted they give the per-hop,
 	// per-round relay cost.
-	RootBytesSent        int64
-	RootBytesReceived    int64
-	UplinkBytesSent      int64
-	UplinkBytesReceived  int64
+	RootBytesSent       int64
+	RootBytesReceived   int64
+	UplinkBytesSent     int64
+	UplinkBytesReceived int64
 	// LeavesCommitted is the leaf population behind the last committed
 	// round — Devices when no subtree dropped.
 	LeavesCommitted int

@@ -47,7 +47,7 @@ func sameWireValue(a, b float64) bool {
 // kinds, rounds and float32 parameter payloads.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint32(1), []byte{})
-	f.Add(uint8(2), uint32(100), []byte{0, 0, 128, 63})             // [1.0]
+	f.Add(uint8(2), uint32(100), []byte{0, 0, 128, 63})                // [1.0]
 	f.Add(uint8(3), uint32(0), []byte{0, 0, 192, 255, 0, 0, 128, 127}) // [NaN, +Inf]
 	f.Add(uint8(2), uint32(1<<31), []byte{1, 0, 0, 0, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, kind uint8, round uint32, payload []byte) {
@@ -96,11 +96,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 // that is consistent with the (possibly corrupted) bytes it actually read;
 // it must never panic and never pass a partial frame off as success.
 func FuzzFaultyReadMessage(f *testing.F) {
-	f.Add(uint8(1), uint32(3), []byte{0, 0, 128, 63}, uint16(5), uint16(0), uint8(0))   // cut inside payload
+	f.Add(uint8(1), uint32(3), []byte{0, 0, 128, 63}, uint16(5), uint16(0), uint8(0))              // cut inside payload
 	f.Add(uint8(2), uint32(1), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(999), uint16(0), uint8(255)) // corrupt kind
-	f.Add(uint8(3), uint32(7), []byte{}, uint16(4), uint16(0), uint8(0))                // cut inside header
-	f.Add(uint8(4), uint32(9), []byte{}, uint16(999), uint16(6), uint8(128))            // corrupt count of a join
-	f.Add(uint8(1), uint32(2), []byte{0, 0, 192, 255}, uint16(999), uint16(7), uint8(64)) // inflate count
+	f.Add(uint8(3), uint32(7), []byte{}, uint16(4), uint16(0), uint8(0))                           // cut inside header
+	f.Add(uint8(4), uint32(9), []byte{}, uint16(999), uint16(6), uint8(128))                       // corrupt count of a join
+	f.Add(uint8(1), uint32(2), []byte{0, 0, 192, 255}, uint16(999), uint16(7), uint8(64))          // inflate count
 	f.Fuzz(func(t *testing.T, kind uint8, round uint32, payload []byte, cut uint16, xorIdx uint16, xorMask uint8) {
 		switch kind % 4 {
 		case 0:
@@ -188,11 +188,11 @@ func FuzzFaultyReadMessage(f *testing.F) {
 // allocate beyond the maxWireParams bound.
 func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                   // unknown kind 0
-	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0})                   // model, 0 params
-	f.Add([]byte{2, 1, 0, 0, 0, 1, 0, 0, 0})                   // update, 1 param, truncated payload
-	f.Add([]byte{3, 0, 0, 0, 0, 255, 255, 255, 255})           // done, absurd count
-	f.Add(append([]byte{1, 1, 0, 0, 0, 1, 0, 0, 0}, 0, 0, 128, 63)) // complete 1-param model
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                                                         // unknown kind 0
+	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0})                                                         // model, 0 params
+	f.Add([]byte{2, 1, 0, 0, 0, 1, 0, 0, 0})                                                         // update, 1 param, truncated payload
+	f.Add([]byte{3, 0, 0, 0, 0, 255, 255, 255, 255})                                                 // done, absurd count
+	f.Add(append([]byte{1, 1, 0, 0, 0, 1, 0, 0, 0}, 0, 0, 128, 63))                                  // complete 1-param model
 	f.Add([]byte{5, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 10, 0, 0, 0, 1, 17, 3, 0, 0, 0, 0, 0, 0, 0}) // relay, 1 sum, 2 leaves
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := readMessage(bufio.NewReader(bytes.NewReader(data)))

@@ -286,7 +286,7 @@ func main() {
 	select {}
 }
 `
-	if diags := runOn(t, GoLaunch{}, "fedpower/cmd/feddevice", src); len(diags) != 0 {
+	if diags := runOn(t, GoLaunch{}, "fedpower/cmd/fedpower", src); len(diags) != 0 {
 		t.Fatalf("golaunch must exempt package main:\n%s", renderDiags(diags))
 	}
 }

@@ -209,7 +209,7 @@ func TestSampleMembershipProperty(t *testing.T) {
 func TestAddReusesEvictedStateStorage(t *testing.T) {
 	b := New(3)
 	for i := 0; i < 5; i++ {
-		b.Add([]float64{float64(i), float64(-i)}, i, float64(i) / 2)
+		b.Add([]float64{float64(i), float64(-i)}, i, float64(i)/2)
 	}
 	// Ring of 3 after 5 adds: slots 0 and 1 overwritten in place by
 	// samples 3 and 4, slot 2 still holding sample 2.

@@ -76,21 +76,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Median returns the median of xs without modifying it, or 0 for an empty
-// slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice or an
 // out-of-range p.
@@ -156,24 +141,6 @@ func ApproxEqualTol(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
-// Smooth returns an exponentially smoothed copy of xs with smoothing factor
-// alpha in (0, 1]; alpha of 1 returns a copy of the input. It is used to
-// render readable reward curves out of noisy per-round rewards.
-func Smooth(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: smoothing factor %v out of range (0,1]", alpha))
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
-}
-
 // Running accumulates observations and reports their mean, standard
 // deviation, and extrema without retaining the samples. The zero value is
 // ready to use.
@@ -221,29 +188,6 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation, or 0 before any observation.
 func (r *Running) Max() float64 { return r.max }
-
-// Merge folds the aggregate of other into r, as if every observation added
-// to other had been added to r. Merging an empty aggregate is a no-op.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	n := r.n + other.n
-	delta := other.mean - r.mean
-	mean := r.mean + delta*float64(other.n)/float64(n)
-	m2 := r.m2 + other.m2 + delta*delta*float64(r.n)*float64(other.n)/float64(n)
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
 
 // String renders the aggregate as "mean ± std [min, max] (n=N)".
 func (r *Running) String() string {

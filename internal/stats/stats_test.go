@@ -78,32 +78,6 @@ func TestSum(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{3}, 3},
-		{[]float64{3, 1}, 2},
-		{[]float64{5, 1, 3}, 3},
-		{[]float64{4, 1, 3, 2}, 2.5},
-	}
-	for _, c := range cases {
-		if got := Median(c.xs); !almost(got, c.want, 1e-12) {
-			t.Errorf("Median(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median mutated its input: %v", xs)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct {
@@ -151,47 +125,6 @@ func TestPercentDelta(t *testing.T) {
 	}
 }
 
-func TestSmooth(t *testing.T) {
-	xs := []float64{1, 1, 1}
-	out := Smooth(xs, 0.5)
-	for i, v := range out {
-		if !almost(v, 1, 1e-12) {
-			t.Errorf("Smooth constant series: out[%d] = %v, want 1", i, v)
-		}
-	}
-	// alpha = 1 returns the input.
-	xs = []float64{1, 5, 2}
-	out = Smooth(xs, 1)
-	for i := range xs {
-		if out[i] != xs[i] {
-			t.Errorf("Smooth alpha=1: out[%d] = %v, want %v", i, out[i], xs[i])
-		}
-	}
-	// Smoothed values lie within the seen range.
-	out = Smooth([]float64{0, 10, 0, 10}, 0.3)
-	for i, v := range out {
-		if v < 0 || v > 10 {
-			t.Errorf("Smooth out of range at %d: %v", i, v)
-		}
-	}
-	if got := Smooth(nil, 0.5); len(got) != 0 {
-		t.Errorf("Smooth(nil) length %d, want 0", len(got))
-	}
-}
-
-func TestSmoothInvalidAlphaPanics(t *testing.T) {
-	for _, alpha := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Smooth with alpha %v did not panic", alpha)
-				}
-			}()
-			Smooth([]float64{1}, alpha)
-		}()
-	}
-}
-
 func TestRunningMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 500)
@@ -225,51 +158,6 @@ func TestRunningZeroValue(t *testing.T) {
 	}
 	if r.Min() != 2 || r.Max() != 2 {
 		t.Errorf("extrema after one sample: [%v, %v], want [2, 2]", r.Min(), r.Max())
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var all, a, b Running
-	var xs []float64
-	for i := 0; i < 200; i++ {
-		x := rng.Float64()*10 - 5
-		xs = append(xs, x)
-		all.Add(x)
-		if i < 70 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almost(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if !almost(a.Std(), all.Std(), 1e-9) {
-		t.Errorf("merged std %v != %v", a.Std(), all.Std())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged extrema mismatch")
-	}
-	_ = xs
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	before := a.String()
-	a.Merge(&b) // empty other: no-op
-	if a.String() != before {
-		t.Errorf("merge with empty changed aggregate: %s -> %s", before, a.String())
-	}
-	b.Merge(&a) // empty receiver adopts other
-	if b.N() != 2 || !almost(b.Mean(), 2, 1e-12) {
-		t.Errorf("empty receiver merge: %s", b.String())
 	}
 }
 
@@ -326,17 +214,17 @@ func TestApproxEqual(t *testing.T) {
 	}{
 		{0, 0, true},
 		{1, 1, true},
-		{1, 1 + 1e-9, true},                      // well inside DefaultTol
-		{1, 1 + 1e-3, false},                     // clearly different
-		{0, 1e-9, true},                          // absolute tolerance near zero
+		{1, 1 + 1e-9, true},  // well inside DefaultTol
+		{1, 1 + 1e-3, false}, // clearly different
+		{0, 1e-9, true},      // absolute tolerance near zero
 		{0, 1e-3, false},
-		{1e12, 1e12 * (1 + 1e-9), true},          // relative tolerance at scale
+		{1e12, 1e12 * (1 + 1e-9), true}, // relative tolerance at scale
 		{1e12, 1e12 * (1 + 1e-3), false},
-		{float64(float32(0.1)), 0.1, true},       // wire-format float32 round trip
-		{math.Inf(1), math.Inf(1), true},         // equal infinities
+		{float64(float32(0.1)), 0.1, true}, // wire-format float32 round trip
+		{math.Inf(1), math.Inf(1), true},   // equal infinities
 		{math.Inf(1), math.Inf(-1), false},
 		{math.Inf(1), 1e300, false},
-		{math.NaN(), math.NaN(), false},          // NaN equals nothing
+		{math.NaN(), math.NaN(), false}, // NaN equals nothing
 		{math.NaN(), 0, false},
 		{-2.5, -2.5, true},
 	}

@@ -3,48 +3,58 @@
 # and the Makefile's `make check`. Every step must pass:
 #
 #   1. go build        — the module compiles
-#   2. go vet          — toolchain static analysis
-#   3. fedlint         — repo-native invariants (determinism, wire safety,
+#   2. gofmt           — `gofmt -l .` lists no file: every Go file is
+#                        formatted
+#   3. go vet          — toolchain static analysis
+#   4. fedlint         — repo-native invariants (determinism, wire safety,
 #                        float tolerance, goroutine discipline, the privacy
 #                        taint boundary, and the effect proofs: allocfree
 #                        hot paths, order-independent map folds, own-slot
 #                        pool tasks; internal/lint)
-#   4. go test         — tier-1 tests, including the fedlint self-check,
+#   5. go test         — tier-1 tests, including the fedlint self-check,
 #                        the wire-format fuzz seed corpus and the exact
 #                        0-allocation assertions on every hot path (control
 #                        step, policy update, Adam step, replay add, wire
 #                        encode/decode, tree aggregate, TCP server round)
-#   5. go test -race   — race detector over every package (the federation,
+#   6. go test -race   — race detector over every package (the federation,
 #                        faultnet and experiment tests exercise real
 #                        concurrency: quorum rounds with slow/dead clients)
-#   6. fuzz smoke      — a short randomized pass (FUZZ_SMOKE seconds per
+#   7. fuzz smoke      — a short randomized pass (FUZZ_SMOKE seconds per
 #                        target, default 10) over the two hostile-input
 #                        decoders wirebound proves statically: readMessage
 #                        and the relay collect path; the checked-in
 #                        regression seeds under internal/fed/testdata/fuzz
-#                        always run as part of step 4. Then the same over
+#                        always run as part of step 5. Then the same over
 #                        Adam.Step against the plain loop it must equal bit
 #                        for bit, from raw (p, m, v, g) bit patterns, and
 #                        nn.Accum against the full-width accumulator it
 #                        must equal limb for limb, from operation traces
-#   7. bench compile   — every `go test` benchmark body runs once
+#   8. bench compile   — every `go test` benchmark body runs once
 #                        (-benchtime 1x), so a paper-artefact, ablation or
 #                        cost-model benchmark that no longer compiles or
 #                        panics on its first iteration fails the gate
 #                        instead of rotting; none of them is compared with
 #                        anything (speed is `make bench`: fedbench, base
 #                        against head)
-#   8. determinism     — `make determinism`: the bit-identity and replay
+#   9. determinism     — `make determinism`: the bit-identity and replay
 #                        tests, twice over; the Makefile holds the one
 #                        definition of the gate and says what it covers
-#   9. parallel smoke  — one multi-worker fleet-scale run through the
-#                        fedpower CLI (-parallel 4), exercising the whole
+#  10. parallel smoke  — one multi-worker fleet-scale run,
+#                        `fedpower tree -parallel 4`, exercising the whole
 #                        parallel aggregation plane end to end
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  echo "gofmt: the files above are not formatted (run gofmt -w)" >&2
+  exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -89,6 +99,6 @@ echo "==> make determinism (bit-identity and replay tests, -count=2)"
 make determinism
 
 echo "==> fedpower tree -parallel 4 (multi-worker fleet smoke)"
-go run ./cmd/fedpower -topology 1x48 -parallel 4 -rounds 2 -codec dense tree
+go run ./cmd/fedpower tree -topology 1x48 -parallel 4 -rounds 2 -codec dense
 
 echo "==> all checks passed"
