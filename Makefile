@@ -75,9 +75,9 @@ DETERMINISM_PKGS  := ./internal/fed/... ./internal/experiment/... ./internal/nn/
 determinism:
 	go test -run '$(DETERMINISM_TESTS)' -count=2 $(DETERMINISM_PKGS)
 
-# Extended fuzzing of the federation wire format and of the exact
-# accumulator against its full-width reference (seed corpora always run as
-# part of `make test`).
+# Extended fuzzing of the federation wire format, of the exact accumulator
+# against its full-width reference and of the float64-lead sum against the
+# plain accumulator vector (seed corpora always run as part of `make test`).
 fuzz:
 	go test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzReadMessage -fuzztime=30s ./internal/fed/
@@ -86,3 +86,4 @@ fuzz:
 	go test -fuzz=FuzzQuantRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzRelayFrame -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzAccumMatchesReference -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
+	go test -fuzz=FuzzParamSumMatchesAccum -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/

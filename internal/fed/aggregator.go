@@ -11,7 +11,7 @@ import (
 // client to its parent. Each round it receives the parent's broadcast,
 // re-broadcasts it to its children under their negotiated codec streams,
 // collects their round results, folds them into exact per-parameter sums
-// (nn.Accum), and relays the sums plus its subtree's leaf count upward in a
+// (nn.ParamSum), and relays the sums plus its subtree's leaf count upward in a
 // msgRelay frame. Nothing is rounded below the root, so the root's model is
 // bit-identical to a flat federation over the same leaves.
 //
@@ -101,7 +101,7 @@ func (a *Aggregator) UplinkBytesReceived() int64 {
 type aggregatorRelay struct {
 	agg *Aggregator
 	ses *session
-	acc []nn.Accum
+	sum *nn.ParamSum
 }
 
 // TrainRound exists to satisfy Client; Conn.Participate always dispatches a
@@ -127,13 +127,13 @@ func (ar *aggregatorRelay) RelayRound(round int, global []float64) ([]nn.Accum, 
 		ar.ses.flushStats()
 		return nil, 0, err
 	}
-	if len(ar.acc) != len(global) {
-		ar.acc = make([]nn.Accum, len(global))
+	if ar.sum == nil || ar.sum.NumParams() != len(global) {
+		ar.sum = nn.NewParamSum(len(global))
 	}
-	total := ar.ses.accumulate(ar.acc, contribs)
+	total := ar.ses.accumulate(ar.sum, contribs)
 	ar.ses.stats.leaves, ar.ses.stats.leavesSet = int64(total), true
 	ar.ses.flushStats()
-	return ar.acc, total, nil
+	return ar.sum.Fold(), total, nil
 }
 
 // Run connects the aggregator between its children and its parent and

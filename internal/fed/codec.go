@@ -371,7 +371,9 @@ func (cs *codecState) encodeQuant(params []float64) []byte {
 				q = -qmax
 			}
 		}
-		step := float32(q) * scale
+		// The explicit conversion rounds the product, so no port fuses it
+		// into the adds below (TestCodecShadowUnfused).
+		step := float32(float32(q) * scale)
 		cs.carry[i] = v - step
 		cs.shadow[i] = math.Float32bits(math.Float32frombits(cs.shadow[i]) + step)
 		if wide {
@@ -400,7 +402,7 @@ func (cs *codecState) decodeQuant(dst []float64, count int, payload []byte) []fl
 		} else {
 			q = int32(int8(payload[quantMetaSize+i]))
 		}
-		step := float32(q) * scale
+		step := float32(float32(q) * scale) // rounded, as the encoder's
 		cs.shadow[i] = math.Float32bits(math.Float32frombits(cs.shadow[i]) + step)
 		dst[i] = float64(math.Float32frombits(cs.shadow[i]))
 	}

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"os"
+	"os/exec"
+	"regexp"
 	"testing"
 	"time"
 )
@@ -378,4 +381,35 @@ func newSplitmixForTest(seed int64) *splitmixForTest {
 func (r *splitmixForTest) norm() float64 {
 	r.s += 0x9e3779b97f4a7c15
 	return float64(splitmix(r.s)>>11)/(1<<52) - 1
+}
+
+// TestCodecShadowUnfused keeps FMA contraction out of the quant codecs'
+// float32 shadow. The Go spec lets the compiler fuse x*y + z, across
+// statements too, unless an explicit conversion rounds the product; gc
+// fuses on arm64 — the paper's devices — and not on amd64, so an unguarded
+// `shadow + q·scale` advances a device's shadow differently from a server's
+// and error feedback corrects toward a model the other end does not hold.
+// The compiler is the oracle: internal/fed is cross-compiled for arm64 with
+// its assembly listing, which must hold no fused multiply-add from
+// codec.go. Uncached this costs a compile (seconds); cached, the listing
+// replays from the build cache.
+func TestCodecShadowUnfused(t *testing.T) {
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command to cross-compile with: %v", err)
+	}
+	cmd := exec.Command(goCmd, "build", "-gcflags=fedpower/internal/fed=-S", ".")
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("cross-compiling for arm64: %v\n%s", err, out)
+	}
+	listing := regexp.MustCompile(`\(\S*/codec\.go:\d+\)\s`)
+	fused := regexp.MustCompile(`(?m)^.*\(\S*/codec\.go:\d+\)\s+F(N)?M(ADD|SUB)[SD]\b.*$`)
+	if !listing.Match(out) {
+		t.Fatalf("the arm64 build listed no instruction of codec.go; is -S reaching the compiler?\n%.2000s", out)
+	}
+	for _, line := range fused.FindAll(out, -1) {
+		t.Errorf("fused multiply-add on arm64: %s", bytes.TrimSpace(line))
+	}
 }

@@ -189,10 +189,10 @@ func TestTreeAggregateAllocFree(t *testing.T) {
 			nn.AddParamsAccum(sums, params)
 			contribs[c] = contribution{sums: sums, leaves: 25}
 		}
-		acc := make([]nn.Accum, len(params))
+		sum := nn.NewParamSum(len(params))
 		global := make([]float64, len(params))
 		if avg := testing.AllocsPerRun(20, func() {
-			nn.MeanAccum(global, acc, accumulate(acc, contribs))
+			sum.Mean(global, accumulate(sum, contribs))
 		}); avg != 0 {
 			t.Errorf("fan-out %d: %.1f allocs per aggregation step, want 0", fanout, avg)
 		}

@@ -315,7 +315,7 @@ type session struct {
 	ns          []int          // per-connection bytes moved (own slot)
 	updates     []contribution // per-connection collect result (own slot)
 	contribs    []contribution // survivors, in pool (ID, seq) order
-	shards      [][]nn.Accum   // per-chunk exact partial sums (own slot)
+	shards      []*nn.ParamSum // per-chunk exact partial sums (own slot)
 	chunkLeaves []int          // per-chunk leaf totals (own slot)
 	stats       roundStats
 }
@@ -518,7 +518,7 @@ func (ses *session) collect(round, numParams int) ([]contribution, error) {
 	return contribs, firstErr
 }
 
-// accumulate folds the round's contributions into acc by sharding them
+// accumulate folds the round's contributions into sum by sharding them
 // across the round workers: each worker folds a contiguous chunk into its
 // own shard exactly, and the shards merge in chunk order. Because the
 // exact accumulator is associative in the strongest sense — every partial
@@ -527,31 +527,29 @@ func (ses *session) collect(round, numParams int) ([]contribution, error) {
 // width, an arithmetic identity rather than a tolerance. contribs must be
 // ses.contribs (the collect output), which the accum phase re-slices by
 // chunk.
-func (ses *session) accumulate(acc []nn.Accum, contribs []contribution) int {
+func (ses *session) accumulate(sum *nn.ParamSum, contribs []contribution) int {
 	k := ses.s.aggWidth(len(contribs))
 	if k <= 1 {
-		return accumulate(acc, contribs)
+		return accumulate(sum, contribs)
 	}
 	if cap(ses.shards) < k {
-		ses.shards = make([][]nn.Accum, k)
+		ses.shards = make([]*nn.ParamSum, k)
 		ses.chunkLeaves = make([]int, k)
 	}
 	ses.shards = ses.shards[:k]
 	ses.chunkLeaves = ses.chunkLeaves[:k]
-	for j := range ses.shards {
-		if len(ses.shards[j]) != len(acc) {
-			ses.shards[j] = make([]nn.Accum, len(acc))
+	for j, sh := range ses.shards {
+		if sh == nil || sh.NumParams() != sum.NumParams() {
+			ses.shards[j] = nn.NewParamSum(sum.NumParams())
 		}
 	}
 	ses.nshards = k
 	ses.phase = phaseAccum
 	ses.workers.Run(k, k)
 	total := 0
-	for i := range acc {
-		acc[i].Reset()
-	}
+	sum.Reset()
 	for j := 0; j < k; j++ {
-		nn.MergeAccum(acc, ses.shards[j])
+		sum.AddSum(ses.shards[j])
 		total += ses.chunkLeaves[j]
 	}
 	return total
@@ -598,7 +596,7 @@ type contribution struct {
 	leaves int
 }
 
-// accumulate folds contributions into acc — resetting it first — and
+// accumulate folds contributions into sum — resetting it first — and
 // returns the total leaf count. Leaf parameters are added exactly and
 // subtree sums merged exactly, so the result is the exact multiset sum over
 // every leaf device below this node, independent of topology. It is both
@@ -607,16 +605,14 @@ type contribution struct {
 // static proof below guarantees it never allocates.
 //
 //fedlint:allocfree
-func accumulate(acc []nn.Accum, contribs []contribution) int {
-	for i := range acc {
-		acc[i].Reset()
-	}
+func accumulate(sum *nn.ParamSum, contribs []contribution) int {
+	sum.Reset()
 	total := 0
 	for _, c := range contribs {
 		if c.sums != nil {
-			nn.MergeAccum(acc, c.sums)
+			sum.AddAccums(c.sums)
 		} else {
-			nn.AddParamsAccum(acc, c.params)
+			sum.Add(c.params)
 		}
 		total += c.leaves
 	}
@@ -655,7 +651,7 @@ func (s *Server) Serve(initial []float64, hook RoundHook) ([]float64, error) {
 	}
 
 	global := append([]float64(nil), initial...)
-	acc := make([]nn.Accum, len(global))
+	sum := nn.NewParamSum(len(global))
 
 	for round := 1; round <= s.rounds; round++ {
 		contribs, rerr := s.round(ses, round, global)
@@ -663,10 +659,10 @@ func (s *Server) Serve(initial []float64, hook RoundHook) ([]float64, error) {
 			ses.flushStats()
 			return nil, rerr
 		}
-		total := ses.accumulate(acc, contribs)
+		total := ses.accumulate(sum, contribs)
 		ses.stats.leaves, ses.stats.leavesSet = int64(total), true
 		ses.flushStats()
-		nn.MeanAccum(global, acc, total)
+		sum.Mean(global, total)
 		if hook != nil {
 			hook(round, global)
 		}

@@ -127,26 +127,25 @@ type TreeConfig struct {
 	Hook RoundHook
 }
 
-// treeState is one node's prepared aggregation state: its exact accumulator
-// vector, the global index range of its direct leaves, and the node's own
-// relay-hop scratch, all reused across rounds. Scratch is per node — not
-// threaded through the recursion — so sibling subtrees can resolve their
-// sums concurrently without sharing mutable state.
+// treeState is one node's prepared aggregation state: its exact sum, the
+// global index range of its direct leaves, and the node's own relay-hop
+// scratch, all reused across rounds. Scratch is per node — not threaded
+// through the recursion — so sibling subtrees can resolve their sums
+// concurrently without sharing mutable state.
 type treeState struct {
 	node        *TreeNode
-	acc         []nn.Accum
+	acc         *nn.ParamSum
 	children    []*treeState
 	childLeaves []int // per-child subtree leaf counts (own slot per task)
 	leafLo      int
-	scratch     []byte   // relay-hop wire buffer for merging child sums
-	tmp         nn.Accum // relay-hop decode target
+	scratch     []byte // relay-hop wire buffer for merging child sums
 }
 
 // buildTreeState assigns global leaf indices in depth-first pre-order (a
 // node's direct leaves first, then each child subtree) and allocates the
-// per-node accumulators.
+// per-node sums.
 func buildTreeState(t *TreeNode, numParams int, nextLeaf *int) *treeState {
-	st := &treeState{node: t, acc: make([]nn.Accum, numParams), leafLo: *nextLeaf}
+	st := &treeState{node: t, acc: nn.NewParamSum(numParams), leafLo: *nextLeaf}
 	*nextLeaf += t.Leaves
 	for _, c := range t.Children {
 		st.children = append(st.children, buildTreeState(c, numParams, nextLeaf))
@@ -159,16 +158,14 @@ func buildTreeState(t *TreeNode, numParams int, nextLeaf *int) *treeState {
 // returns the subtree leaf count. Child subtrees resolve their own sums
 // first — up to width concurrently, each child state owned by its task —
 // then the child results cross an emulated relay hop in child order:
-// encoded with nn's accumulator wire format and decoded back, so the
-// in-process tree exercises the same exact-relay arithmetic as the TCP
-// aggregators, not a shortcut around it. The ordered merge plus exact
-// child sums make the result bit-identical at every width.
+// folded, encoded with nn's accumulator wire format and decoded back in
+// place, so the in-process tree exercises the same exact-relay arithmetic
+// as the TCP aggregators, not a shortcut around it. The ordered merge plus
+// exact child sums make the result bit-identical at every width.
 func (st *treeState) sum(locals [][]float64, width int) (int, error) {
-	for i := range st.acc {
-		st.acc[i].Reset()
-	}
+	st.acc.Reset()
 	for l := 0; l < st.node.Leaves; l++ {
-		nn.AddParamsAccum(st.acc, locals[st.leafLo+l])
+		st.acc.Add(locals[st.leafLo+l])
 	}
 	total := st.node.Leaves
 	if len(st.children) == 0 {
@@ -187,14 +184,15 @@ func (st *treeState) sum(locals [][]float64, width int) (int, error) {
 		return 0, err
 	}
 	for ci, c := range st.children {
-		for i := range c.acc {
-			buf := c.acc[i].AppendWire(st.scratch[:0])
+		sums := c.acc.Fold()
+		for i := range sums {
+			buf := sums[i].AppendWire(st.scratch[:0])
 			st.scratch = buf[:0]
-			if _, err := nn.DecodeAccumInto(&st.tmp, buf); err != nil {
+			if _, err := nn.DecodeAccumInto(&sums[i], buf); err != nil {
 				return 0, fmt.Errorf("relay hop: %w", err)
 			}
-			st.acc[i].AddAccum(&st.tmp)
 		}
+		st.acc.AddAccums(sums)
 		total += st.childLeaves[ci]
 	}
 	return total, nil
@@ -226,7 +224,7 @@ func RunTree(global []float64, clients []Client, topo *TreeNode, cfg TreeConfig)
 			if err != nil {
 				return err
 			}
-			nn.MeanAccum(dst, root.acc, total)
+			root.acc.Mean(dst, total)
 			return nil
 		}}.run(global, clients)
 }

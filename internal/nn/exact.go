@@ -43,6 +43,11 @@ import (
 // the union of two spans, and Round and AppendWire read the magnitude limb
 // by limb. The integer is the one a full-width accumulator would hold, so
 // every reading and every wire byte is too.
+//
+// The federation's vector sums — the TCP server's, the aggregators' and
+// the in-process tree's — do not use an Accum vector bare: they go through
+// ParamSum (sum.go), which keeps a float64 lead in front of each Accum and
+// touches the Accum only when the lead's sum would be inexact.
 
 const (
 	// accLimbs is the number of 64-bit limbs in the fixed-point window.
@@ -463,8 +468,9 @@ func DecodeAccumInto(a *Accum, src []byte) (int, error) {
 }
 
 // AddParamsAccum adds each of params into the matching accumulator of acc,
-// exactly. It is the leaf step of (tree) aggregation: one client's parameter
-// vector entering the sum.
+// exactly: one client's parameter vector entering the sum. With MergeAccum
+// and MeanAccum it is the plain vector path ParamSum is held to by
+// FuzzParamSumMatchesAccum; the federation itself sums through ParamSum.
 func AddParamsAccum(acc []Accum, params []float64) {
 	if len(acc) != len(params) {
 		panic(fmt.Sprintf("nn: %d accumulators for %d params", len(acc), len(params)))

@@ -522,15 +522,21 @@ func refDecodeAccumInto(a *refAccum, src []byte) (int, error) {
 	return n, nil
 }
 
+// fuzzInput reads a fuzz input as a stream of operands. Exhausted input
+// reads as zeros.
+type fuzzInput struct {
+	in []byte
+}
+
 // accTrace interprets a fuzz input as a sequence of operations on two
-// accumulators, each mirrored on a refAccum. Exhausted input reads as zeros.
+// accumulators, each mirrored on a refAccum.
 type accTrace struct {
-	in   []byte
+	fuzzInput
 	got  [2]Accum
 	want [2]refAccum
 }
 
-func (tr *accTrace) next() byte {
+func (tr *fuzzInput) next() byte {
 	if len(tr.in) == 0 {
 		return 0
 	}
@@ -539,7 +545,7 @@ func (tr *accTrace) next() byte {
 	return b
 }
 
-func (tr *accTrace) take(n int) []byte {
+func (tr *fuzzInput) take(n int) []byte {
 	n = min(n, len(tr.in))
 	b := tr.in[:n]
 	tr.in = tr.in[n:]
@@ -547,7 +553,7 @@ func (tr *accTrace) take(n int) []byte {
 }
 
 // value draws a summand, favouring the edges of the float64 range.
-func (tr *accTrace) value() float64 {
+func (tr *fuzzInput) value() float64 {
 	sign := 1.0
 	if tr.next()&1 != 0 {
 		sign = -1
@@ -717,7 +723,7 @@ func FuzzAccumMatchesReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tr := &accTrace{in: in}
+		tr := &accTrace{fuzzInput: fuzzInput{in: in}}
 		for step := 0; len(tr.in) > 0; step++ {
 			tr.step(t)
 			tr.check(t, step)

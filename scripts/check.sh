@@ -26,9 +26,11 @@
 #                        regression seeds under internal/fed/testdata/fuzz
 #                        always run as part of step 5. Then the same over
 #                        Adam.Step against the plain loop it must equal bit
-#                        for bit, from raw (p, m, v, g) bit patterns, and
+#                        for bit, from raw (p, m, v, g) bit patterns,
 #                        nn.Accum against the full-width accumulator it
-#                        must equal limb for limb, from operation traces
+#                        must equal limb for limb, from operation traces,
+#                        and nn.ParamSum against the plain Accum vector it
+#                        must equal mean bit for bit and wire byte for byte
 #   8. bench compile   — every `go test` benchmark body runs once
 #                        (-benchtime 1x), so a paper-artefact, ablation or
 #                        cost-model benchmark that no longer compiles or
@@ -89,6 +91,7 @@ go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}
 # Each input is a whole operation trace, so minimising a new one under the
 # default 60s budget would stall a short run; 200 tries is plenty.
 go test -run '^$' -fuzz 'FuzzAccumMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
+go test -run '^$' -fuzz 'FuzzParamSumMatchesAccum$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
 # each keeps the bench suite from bit-rotting.
