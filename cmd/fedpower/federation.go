@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fedpower"
+	"fedpower/internal/experiment"
 	"fedpower/internal/workload"
 )
 
@@ -174,17 +175,50 @@ func (j *job) relay() error {
 
 // device runs one edge device: T control steps of Algorithm 1 per round,
 // then the model exchange, reconnecting under capped exponential backoff
-// (jittered from the device seed so a recovering fleet spreads out) and
-// rejoining at the next broadcast after a dropped link.
+// (jittered from the device's own stream so a recovering fleet spreads
+// out) and rejoining at the next broadcast after a dropped link.
 func (j *job) device() error {
-	o := j.opts
-	specs, err := workload.ByNames(strings.Split(strings.ReplaceAll(j.trainApps, " ", ""), ",")...)
+	trainRound, err := j.deviceTrainer()
 	if err != nil {
 		return err
 	}
-	dev := fedpower.NewDevice(o.Table, o.Power, rand.New(rand.NewSource(o.Seed)))
-	ctrl := fedpower.NewController(o.Core, rand.New(rand.NewSource(o.Seed+1)))
-	stream := fedpower.NewStream(rand.New(rand.NewSource(o.Seed+2)), specs)
+	part := &j.part
+	part.Codec = part.Codec.Seeded(j.opts.Seed)
+	part.Retry.Jitter = experiment.DeviceRNG(j.opts.Seed, int64(part.ID), 4)
+	j.log.Printf("participating via %s as device %d (codec %s), training on %s", part.Addr, part.ID, part.Codec, j.trainApps)
+	final, err := part.Run(trainRound)
+	if err != nil {
+		return err
+	}
+	if part.Reconnects() > 0 {
+		j.log.Printf("survived %d reconnects", part.Reconnects())
+	}
+	j.log.Printf("training complete: %d params in final global model, %d B sent, %d B received",
+		len(final), part.BytesSent(), part.BytesReceived())
+	if j.save != "" {
+		if err := fedpower.SaveModel(j.save, final); err != nil {
+			return err
+		}
+		j.log.Printf("final model saved to %s", j.save)
+	}
+	return nil
+}
+
+// deviceTrainer builds the device's round: T control steps of Algorithm 1
+// on a simulated device, returning the controller's parameters. The
+// plant, controller and workload streams are keyed on (-seed, -id) as the
+// experiments key their devices, so devices that share a seed but not an
+// ID train different trajectories.
+func (j *job) deviceTrainer() (fedpower.FederatedClientFunc, error) {
+	o := j.opts
+	specs, err := workload.ByNames(strings.Split(strings.ReplaceAll(j.trainApps, " ", ""), ",")...)
+	if err != nil {
+		return nil, err
+	}
+	id := int64(j.part.ID)
+	dev := fedpower.NewDevice(o.Table, o.Power, experiment.DeviceRNG(o.Seed, id, 1))
+	ctrl := fedpower.NewController(o.Core, experiment.DeviceRNG(o.Seed, id, 2))
+	stream := fedpower.NewStream(experiment.DeviceRNG(o.Seed, id, 3), specs)
 
 	// Bootstrap: load the first application and take one observation at the
 	// mid-range level, as a default governor would.
@@ -193,7 +227,7 @@ func (j *job) device() error {
 	obs := dev.Step(o.IntervalS)
 
 	var state []float64
-	trainRound := func(round int, global []float64) ([]float64, error) {
+	return func(round int, global []float64) ([]float64, error) {
 		ctrl.SetModelParams(global)
 		var reward float64
 		for t := 0; t < o.StepsPerRound; t++ {
@@ -211,26 +245,5 @@ func (j *job) device() error {
 		j.log.Printf("round %d: avg training reward %.3f, tau %.3f, buffer %d/%d",
 			round, reward/float64(o.StepsPerRound), ctrl.Tau(), ctrl.Buffer().Len(), ctrl.Buffer().Cap())
 		return ctrl.ModelParams(), nil
-	}
-
-	part := &j.part
-	part.Codec = part.Codec.Seeded(o.Seed)
-	part.Retry.Jitter = rand.New(rand.NewSource(o.Seed + 3))
-	j.log.Printf("participating via %s as device %d (codec %s), training on %s", part.Addr, part.ID, part.Codec, j.trainApps)
-	final, err := part.Run(fedpower.FederatedClientFunc(trainRound))
-	if err != nil {
-		return err
-	}
-	if part.Reconnects() > 0 {
-		j.log.Printf("survived %d reconnects", part.Reconnects())
-	}
-	j.log.Printf("training complete: %d params in final global model, %d B sent, %d B received",
-		len(final), part.BytesSent(), part.BytesReceived())
-	if j.save != "" {
-		if err := fedpower.SaveModel(j.save, final); err != nil {
-			return err
-		}
-		j.log.Printf("final model saved to %s", j.save)
-	}
-	return nil
+	}, nil
 }

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,6 +335,41 @@ func devices(t *testing.T, addr string) {
 		if !strings.Contains(d.log.String(), want) {
 			t.Errorf("device log lacks %q:\n%s", want, d.log)
 		}
+	}
+}
+
+// TestDeviceStreamsKeyedOnID: fedpower device keys its random streams on
+// (-seed, -id), so two devices that share a seed but not an ID send
+// different first-round updates, and one (seed, id) reproduces its update
+// bit for bit.
+func TestDeviceStreamsKeyedOnID(t *testing.T) {
+	update := func(id string) []uint64 {
+		t.Helper()
+		_, j, err := parse([]string{"device", "-seed", "7", "-id", id}, io.Discard, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, err := j.deviceTrainer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		global := fedpower.NewController(j.opts.Core, rand.New(rand.NewSource(1))).ModelParams()
+		params, err := train(1, global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := make([]uint64, len(params))
+		for i, p := range params {
+			bits[i] = math.Float64bits(p)
+		}
+		return bits
+	}
+	one, two := update("1"), update("2")
+	if slices.Equal(one, two) {
+		t.Error("devices -id 1 and -id 2 under -seed 7 sent the same first-round update")
+	}
+	if again := update("1"); !slices.Equal(one, again) {
+		t.Error("device -seed 7 -id 1 did not reproduce its first-round update")
 	}
 }
 

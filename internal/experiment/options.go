@@ -139,3 +139,10 @@ func subseed(root int64, ids ...int64) int64 {
 func newRNG(root int64, ids ...int64) *rand.Rand {
 	return rand.New(rand.NewSource(subseed(root, ids...)))
 }
+
+// DeviceRNG returns random stream k of device id under the root seed: the
+// derivation every experiment device is keyed on (k = 1 drives the
+// simulated plant, 2 the controller, 3 the workload stream). A process that
+// runs one device of a deployed fleet keys its streams here too, so its
+// devices differ by id as the experiments' do.
+func DeviceRNG(seed, id, k int64) *rand.Rand { return newRNG(seed, id, k) }

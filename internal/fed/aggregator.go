@@ -111,13 +111,13 @@ func (ar *aggregatorRelay) TrainRound(round int, global []float64) ([]float64, e
 }
 
 // RelayRound drives one child round for the parent's broadcast and returns
-// the subtree's exact sums and leaf population. Child-side quorum failures
+// the subtree's exact sum and leaf population. Child-side quorum failures
 // return the *RoundError as-is — a retryable condition the upward
 // Participant resolves by rejoining for the next round — while a dead
 // child-facing listener is a plain error, which Participate classifies as
 // fatal (PhaseTrain): an aggregator that can never re-admit children has
 // lost its subtree for good.
-func (ar *aggregatorRelay) RelayRound(round int, global []float64) ([]nn.Accum, int, error) {
+func (ar *aggregatorRelay) RelayRound(round int, global []float64) (*nn.ParamSum, int, error) {
 	s := ar.agg.Children
 	if !ar.ses.admit() {
 		return nil, 0, fmt.Errorf("aggregator %d listener down: %w", ar.agg.ID, s.takeAcceptErr())
@@ -133,7 +133,7 @@ func (ar *aggregatorRelay) RelayRound(round int, global []float64) ([]nn.Accum, 
 	total := ar.ses.accumulate(ar.sum, contribs)
 	ar.ses.stats.leaves, ar.ses.stats.leavesSet = int64(total), true
 	ar.ses.flushStats()
-	return ar.sum.Fold(), total, nil
+	return ar.sum, total, nil
 }
 
 // Run connects the aggregator between its children and its parent and

@@ -12,14 +12,16 @@ import (
 // RelayClient is the client role of an interior aggregator: instead of
 // training locally it resolves each broadcast round against its own child
 // subtree and answers with the subtree's exact per-parameter sums and leaf
-// population (a relay frame rather than an update frame). The returned sums
-// are only encoded, never retained, so the relay may reuse their storage
-// across rounds. A RelayRound error that is already a *RoundError keeps its
-// phase — a subtree that missed its own quorum is a collect failure, which
-// Participant.Run treats as retryable, not as a fatal local-training error.
+// population (a relay frame rather than an update frame). The returned sum
+// is only encoded, never retained, so the relay may reuse it across
+// rounds; encoding may fold its leads into its accumulators, which leaves
+// its value unchanged. A RelayRound error that is already a *RoundError
+// keeps its phase — a subtree that missed its own quorum is a collect
+// failure, which Participant.Run treats as retryable, not as a fatal
+// local-training error.
 type RelayClient interface {
 	Client
-	RelayRound(round int, global []float64) (sums []nn.Accum, leaves int, err error)
+	RelayRound(round int, global []float64) (sum *nn.ParamSum, leaves int, err error)
 }
 
 // Conn is a client-side connection to the aggregation server. A device
@@ -145,7 +147,7 @@ func (c *Conn) Participate(client Client) ([]float64, error) {
 			c.round = m.round
 			var reply message
 			if relay, ok := client.(RelayClient); ok {
-				sums, leaves, err := relay.RelayRound(m.round, m.params)
+				sum, leaves, err := relay.RelayRound(m.round, m.params)
 				if err != nil {
 					var re *RoundError
 					if errors.As(err, &re) {
@@ -155,7 +157,7 @@ func (c *Conn) Participate(client Client) ([]float64, error) {
 					}
 					return nil, roundError(m.round, PhaseTrain, fmt.Errorf("relay round: %w", err))
 				}
-				reply = message{kind: msgRelay, round: m.round, sums: sums, leaves: leaves}
+				reply = message{kind: msgRelay, round: m.round, sum: sum, leaves: leaves}
 			} else {
 				updated, err := client.TrainRound(m.round, m.params)
 				if err != nil {

@@ -146,8 +146,8 @@ func FuzzFaultyReadMessage(f *testing.F) {
 		if m.kind == msgRelay {
 			// A corrupted kind byte can turn a frame into a relay; success
 			// then requires a complete, consistent accumulator block.
-			if len(m.sums) != count {
-				t.Fatalf("decoder returned %d sums for a relay header declaring %d", len(m.sums), count)
+			if m.count != count {
+				t.Fatalf("decoder returned %d sums for a relay header declaring %d", m.count, count)
 			}
 			if m.leaves < 1 {
 				t.Fatalf("decoder accepted a relay frame with leaf count %d", m.leaves)
@@ -160,6 +160,10 @@ func FuzzFaultyReadMessage(f *testing.F) {
 				t.Fatalf("decoder returned a relay frame from %d bytes, needs %d — partial sub-sum passed as success",
 					len(wire), headerSize+8+blen)
 			}
+			if len(m.block) != blen {
+				t.Fatalf("decoder returned a %d-byte block for a preamble declaring %d", len(m.block), blen)
+			}
+			decodeRelayBlock(t, m.block, count)
 			return
 		}
 		if m.kind == msgJoin {
@@ -205,35 +209,43 @@ func FuzzReadMessage(f *testing.F) {
 		if len(m.params) > maxWireParams {
 			t.Fatalf("decoder exceeded the parameter bound: %d params", len(m.params))
 		}
-		if len(m.sums) > maxWireParams {
-			t.Fatalf("decoder exceeded the accumulator bound: %d sums", len(m.sums))
+		if m.count > maxWireParams {
+			t.Fatalf("decoder exceeded the accumulator bound: %d sums", m.count)
+		}
+		if m.kind == msgRelay {
+			// An accepted relay block is exactly count encodings. It may be
+			// non-canonical (padded spans decode too), so the re-encode of
+			// the sum it merges into need not match its size — but it must
+			// decode back to the same accumulators and leaf count.
+			sums := decodeRelayBlock(t, m.block, m.count)
+			s := nn.NewParamSum(m.count)
+			s.AddWire(m.block)
+			var buf bytes.Buffer
+			if _, err := writeMessage(bufio.NewWriter(&buf), message{kind: msgRelay, round: m.round, leaves: m.leaves, sum: s}); err != nil {
+				t.Fatalf("re-encode of decoded relay frame: %v", err)
+			}
+			m2, err := readMessage(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+			if err != nil {
+				t.Fatalf("re-decode of re-encoded relay frame: %v", err)
+			}
+			if m2.leaves != m.leaves || m2.count != m.count {
+				t.Fatalf("relay round-trip changed shape: leaves %d->%d, sums %d->%d",
+					m.leaves, m2.leaves, m.count, m2.count)
+			}
+			for i, a := range decodeRelayBlock(t, m2.block, m2.count) {
+				// Accum's limbs outside its live span are stale, so compare
+				// values through their canonical encodings.
+				if !bytes.Equal(sums[i].AppendWire(nil), a.AppendWire(nil)) {
+					t.Fatalf("relay round-trip changed accumulator %d", i)
+				}
+			}
+			return
 		}
 		// A successfully decoded message must itself round-trip.
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
 		if _, err := writeMessage(w, m); err != nil {
 			t.Fatalf("re-encode of decoded message: %v", err)
-		}
-		if m.kind == msgRelay {
-			// The input block may be non-canonical (padded spans decode too),
-			// so sizes need not match — but the re-encoded frame must decode
-			// back to the same accumulators and leaf count.
-			m2, err := readMessage(bufio.NewReader(bytes.NewReader(buf.Bytes())))
-			if err != nil {
-				t.Fatalf("re-decode of re-encoded relay frame: %v", err)
-			}
-			if m2.leaves != m.leaves || len(m2.sums) != len(m.sums) {
-				t.Fatalf("relay round-trip changed shape: leaves %d->%d, sums %d->%d",
-					m.leaves, m2.leaves, len(m.sums), len(m2.sums))
-			}
-			for i := range m.sums {
-				// Accum's limbs outside its live span are stale, so compare
-				// values through their canonical encodings.
-				if !bytes.Equal(m.sums[i].AppendWire(nil), m2.sums[i].AppendWire(nil)) {
-					t.Fatalf("relay round-trip changed accumulator %d", i)
-				}
-			}
-			return
 		}
 		want := headerSize + nn.WireSize(len(m.params))
 		if m.kind == msgJoin {
@@ -245,17 +257,39 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
+// decodeRelayBlock requires an accepted relay block to be exactly count
+// accumulator encodings, read one by one with nn.DecodeAccumInto, that
+// consume every byte, and returns the accumulators.
+func decodeRelayBlock(t *testing.T, block []byte, count int) []nn.Accum {
+	t.Helper()
+	sums := make([]nn.Accum, count)
+	rest := block
+	for i := range sums {
+		n, err := nn.DecodeAccumInto(&sums[i], rest)
+		if err != nil {
+			t.Fatalf("accepted relay block: accumulator %d of %d does not decode: %v", i, count, err)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		t.Fatalf("accepted relay block has %d bytes past its %d accumulators", len(rest), count)
+	}
+	return sums
+}
+
 // relayFrameBytes encodes one well-formed relay frame for seeding the relay
 // fuzzer.
 func relayFrameBytes(tb testing.TB, numParams, leaves int) []byte {
-	sums := make([]nn.Accum, numParams)
-	for i := range sums {
-		sums[i].Add(float64(i) + 0.5)
-		sums[i].Add(-1.0 / float64(i+3))
+	sum := nn.NewParamSum(numParams)
+	a, b := make([]float64, numParams), make([]float64, numParams)
+	for i := range a {
+		a[i], b[i] = float64(i)+0.5, -1.0/float64(i+3)
 	}
+	sum.Add(a)
+	sum.Add(b)
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if _, err := writeMessage(w, message{kind: msgRelay, round: 1, leaves: leaves, sums: sums}); err != nil {
+	if _, err := writeMessage(w, message{kind: msgRelay, round: 1, leaves: leaves, sum: sum}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -331,9 +365,13 @@ func FuzzRelayFrame(f *testing.F) {
 		c := contribs[0]
 		switch {
 		case c.sums != nil:
-			if len(c.sums) != numParams || c.leaves < 1 {
-				t.Fatalf("partial relay accepted: %d sums, %d leaves", len(c.sums), c.leaves)
+			if c.leaves < 1 {
+				t.Fatalf("partial relay accepted: %d leaves", c.leaves)
 			}
+			if blen := int(binary.LittleEndian.Uint32(frame[headerSize+4:])); len(c.sums) != blen {
+				t.Fatalf("partial relay accepted: %d block bytes of %d", len(c.sums), blen)
+			}
+			decodeRelayBlock(t, c.sums, numParams)
 		case c.params != nil:
 			if len(c.params) != numParams || c.leaves != 1 {
 				t.Fatalf("partial update accepted: %d params, %d leaves", len(c.params), c.leaves)

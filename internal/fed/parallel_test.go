@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -176,18 +178,27 @@ func TestParallelAggregationTreeBitIdentical(t *testing.T) {
 }
 
 // TestTreeAggregateAllocFree: one interior-node aggregation step at the
-// paper's model size — folding the exact relay sums of N child subtrees and
-// rounding the mean — allocates nothing at any fan-out; the accumulator
-// vector and the output model are reused across rounds, as in Server.Serve
-// and the Aggregator's relay round.
+// paper's model size — merging the relay blocks of N child subtrees and
+// rounding the mean — allocates nothing at any fan-out; the sum and the
+// output model are reused across rounds, as in Server.Serve and the
+// Aggregator's relay round. Every other child's sum is dirty, so the
+// blocks mix entries that enter the lead with entries that are decoded
+// into an accumulator.
 func TestTreeAggregateAllocFree(t *testing.T) {
 	params := benchParams()
+	spill := make([]float64, len(params))
+	for i := range spill {
+		spill[i] = 0x1p70
+	}
 	for _, fanout := range []int{2, 4, 8, 16} {
 		contribs := make([]contribution, fanout)
 		for c := range contribs {
-			sums := make([]nn.Accum, len(params))
-			nn.AddParamsAccum(sums, params)
-			contribs[c] = contribution{sums: sums, leaves: 25}
+			child := nn.NewParamSum(len(params))
+			child.Add(params)
+			if c%2 == 1 {
+				child.Add(spill)
+			}
+			contribs[c] = contribution{sums: child.AppendWire(nil), leaves: 25}
 		}
 		sum := nn.NewParamSum(len(params))
 		global := make([]float64, len(params))
@@ -195,6 +206,62 @@ func TestTreeAggregateAllocFree(t *testing.T) {
 			sum.Mean(global, accumulate(sum, contribs))
 		}); avg != 0 {
 			t.Errorf("fan-out %d: %.1f allocs per aggregation step, want 0", fanout, avg)
+		}
+	}
+}
+
+// TestRelayHopAllocFree: one aggregator relay round at the paper's model
+// size allocates nothing once its buffers are sized — the aggregator sums
+// its leaves' updates (accumulate), encodes the relay frame into its
+// reused codec scratch (writeMessage), and the root reads and scans the
+// frame (readMessage) and merges its block (accumulate's AddWire) before
+// rounding the mean. One leaf's update spills, so a dirty parameter
+// crosses the hop too.
+func TestRelayHopAllocFree(t *testing.T) {
+	params := benchParams()
+	const leaves = 4
+	contribs := make([]contribution, leaves)
+	for l := range contribs {
+		v := make([]float64, len(params))
+		for i, p := range params {
+			v[i] = float64(float32(p * float64(l+1)))
+		}
+		if l == leaves-1 {
+			v[0] = 0x1p70
+		}
+		contribs[l] = contribution{params: v, leaves: 1}
+	}
+	agg, root := nn.NewParamSum(len(params)), nn.NewParamSum(len(params))
+	global := make([]float64, len(params))
+	tx, rx := newCodecState(DenseCodec(), streamUp), newCodecState(DenseCodec(), streamUp)
+	var wire bytes.Buffer
+	w := bufio.NewWriter(&wire)
+	var src bytes.Reader
+	r := bufio.NewReader(&src)
+	var m message
+	var up [1]contribution
+	if avg := testing.AllocsPerRun(50, func() {
+		total := accumulate(agg, contribs[:])
+		wire.Reset()
+		if _, err := tx.writeMessage(w, message{kind: msgRelay, round: 1, leaves: total, sum: agg}); err != nil {
+			panic(err)
+		}
+		src.Reset(wire.Bytes())
+		r.Reset(&src)
+		if _, err := rx.readMessage(r, &m); err != nil {
+			panic(err)
+		}
+		up[0] = contribution{sums: m.block, leaves: m.leaves}
+		root.Mean(global, accumulate(root, up[:]))
+	}); avg != 0 {
+		t.Errorf("%.1f allocs per relay round, want 0", avg)
+	}
+	want := make([]float64, len(params))
+	flat := nn.NewParamSum(len(params))
+	flat.Mean(want, accumulate(flat, contribs))
+	for i := range want {
+		if math.Float64bits(global[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("param %d: relayed mean %v, flat mean %v", i, global[i], want[i])
 		}
 	}
 }

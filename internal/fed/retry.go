@@ -199,7 +199,7 @@ func (rp relayProgress) TrainRound(round int, global []float64) ([]float64, erro
 	return rp.relay.TrainRound(round, global)
 }
 
-func (rp relayProgress) RelayRound(round int, global []float64) ([]nn.Accum, int, error) {
+func (rp relayProgress) RelayRound(round int, global []float64) (*nn.ParamSum, int, error) {
 	rp.note(round)
 	return rp.relay.RelayRound(round, global)
 }

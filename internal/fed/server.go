@@ -587,12 +587,13 @@ func (s *Server) aggWidth(n int) int {
 
 // contribution is one pooled connection's round result: either a leaf
 // device's parameter vector (params set, leaves == 1) or a relaying
-// aggregator's exact subtree sums (sums set, leaves = subtree population).
-// Both storages are backed by the connection's reusable inbound message and
-// stay valid until its next read — aggregation completes within the round.
+// aggregator's exact subtree sums (sums set to the frame's scanned
+// accumulator block, leaves = subtree population). Both storages are backed
+// by the connection's reusable inbound message and codec scratch and stay
+// valid until its next read — aggregation completes within the round.
 type contribution struct {
 	params []float64
-	sums   []nn.Accum
+	sums   []byte
 	leaves int
 }
 
@@ -610,7 +611,7 @@ func accumulate(sum *nn.ParamSum, contribs []contribution) int {
 	total := 0
 	for _, c := range contribs {
 		if c.sums != nil {
-			sum.AddAccums(c.sums)
+			sum.AddWire(c.sums)
 		} else {
 			sum.Add(c.params)
 		}
@@ -737,10 +738,10 @@ func (s *Server) collectOne(sc *serverConn, round, numParams int) (contribution,
 		return contribution{}, 0, fmt.Errorf("fed: answered round %d during round %d", m.round, round)
 	}
 	if m.kind == msgRelay {
-		if len(m.sums) != numParams {
-			return contribution{}, 0, fmt.Errorf("fed: relayed %d sums, want %d", len(m.sums), numParams)
+		if m.count != numParams {
+			return contribution{}, 0, fmt.Errorf("fed: relayed %d sums, want %d", m.count, numParams)
 		}
-		return contribution{sums: m.sums, leaves: m.leaves}, n, nil
+		return contribution{sums: m.block, leaves: m.leaves}, n, nil
 	}
 	if len(m.params) != numParams {
 		return contribution{}, 0, fmt.Errorf("fed: sent %d params, want %d", len(m.params), numParams)

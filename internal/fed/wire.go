@@ -53,6 +53,14 @@ const (
 //	offset 4: blen   (uint32) — byte length of the accumulator block
 //	offset 8: count consecutive nn.Accum wire encodings (nn.AppendWire)
 //
+// The block is written by the subtree's nn.ParamSum (ParamSum.AppendWire)
+// and merged by the parent's (ParamSum.AddWire), so neither end builds an
+// Accum per parameter: a parameter whose exact sum is one float64 crosses
+// as the flag|span byte, the origin limb and one or two limbs written from
+// its bits. The bytes are those of the Accum holding the same sum. The
+// receiver checks the whole block with nn.ScanAccumWire before any sum is
+// touched, so a malformed frame is dropped whole.
+//
 // The payload deliberately bypasses the per-hop codec: a subtree result is
 // an exact fixed-point sum, and re-encoding it through a float32 codec would
 // round it, breaking the end-to-end bit-identity proof (DESIGN.md). The
@@ -71,8 +79,10 @@ type message struct {
 	round  int
 	codec  byte // join frames only: the client's codec wire ID
 	params []float64
-	leaves int        // relay frames only: leaf count of the subtree
-	sums   []nn.Accum // relay frames only: exact per-parameter sub-sums
+	leaves int          // relay frames only: leaf count of the subtree
+	sum    *nn.ParamSum // relay frames written: the subtree's exact sum
+	block  []byte       // relay frames read: count scanned accumulator encodings
+	count  int          // relay frames read: the header's parameter count
 }
 
 // writeMessage frames and writes one message under this direction's codec,
@@ -115,19 +125,16 @@ func (cs *codecState) writeMessage(w *bufio.Writer, m message) (int, error) {
 }
 
 // writeRelay frames and writes one relay message: header (count = number of
-// sums), then the leaf count, the accumulator-block length and the exact
-// accumulator encodings. The block is built in the codec's scratch buffer,
-// so the steady-state path reuses storage round over round.
+// parameters), then the leaf count, the accumulator-block length and the
+// sum's relay block. The block is built in the codec's scratch buffer, so
+// the steady-state path reuses storage round over round.
 func (cs *codecState) writeRelay(w *bufio.Writer, m message) (int, error) {
 	if m.leaves < 1 {
 		return 0, fmt.Errorf("fed: relay frame with leaf count %d", m.leaves)
 	}
 	hdr := &cs.hdr
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(m.sums)))
-	buf := append(cs.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	for i := range m.sums {
-		buf = m.sums[i].AppendWire(buf)
-	}
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(m.sum.NumParams()))
+	buf := m.sum.AppendWire(append(cs.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0))
 	cs.scratch = buf[:0]
 	binary.LittleEndian.PutUint32(buf, uint32(m.leaves))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(buf)-8))
@@ -146,10 +153,11 @@ func (cs *codecState) writeRelay(w *bufio.Writer, m message) (int, error) {
 }
 
 // readRelay reads the payload of a relay frame whose header announced count
-// accumulators, reusing m's sums storage. Hostile lengths are bounded before
-// any allocation, and a block that does not decode into exactly count
-// accumulators consuming exactly its announced length is rejected whole — a
-// partial sub-sum never survives this function.
+// accumulators into the codec's scratch buffer and sets m.block to it,
+// valid until the next read. Hostile lengths are bounded before any
+// allocation, and a block that is not exactly count accumulator encodings
+// consuming exactly its announced length is rejected whole — a partial
+// sub-sum never survives this function.
 func (cs *codecState) readRelay(r *bufio.Reader, m *message, count int) (int, error) {
 	pre := &cs.pre
 	n := headerSize
@@ -170,22 +178,10 @@ func (cs *codecState) readRelay(r *bufio.Reader, m *message, count int) (int, er
 		return n, fmt.Errorf("fed: read relay payload: %w", err)
 	}
 	n += blen
-	if cap(m.sums) < count {
-		m.sums = make([]nn.Accum, count)
+	if err := nn.ScanAccumWire(buf, count); err != nil {
+		return n, fmt.Errorf("fed: relay %w", err)
 	}
-	sums := m.sums[:count]
-	rest := buf
-	for i := range sums {
-		used, err := nn.DecodeAccumInto(&sums[i], rest)
-		if err != nil {
-			return n, fmt.Errorf("fed: relay accumulator %d: %w", i, err)
-		}
-		rest = rest[used:]
-	}
-	if len(rest) != 0 {
-		return n, fmt.Errorf("fed: relay block has %d trailing bytes", len(rest))
-	}
-	m.leaves, m.sums, m.params = leaves, sums, m.params[:0]
+	m.leaves, m.block, m.count, m.params = leaves, buf, count, m.params[:0]
 	return n, nil
 }
 

@@ -61,11 +61,11 @@ type TaintConfig struct {
 //	sources  sim.Observation, sim.Stats, trace.Entry, and the sim.Device
 //	         accessors producing them (Step, Stats)
 //	sinks    the fed wire message payloads (fed.message.params and the
-//	         hierarchical relay sums fed.message.sums), the wire parameter
+//	         hierarchical relay sum fed.message.sum), the wire parameter
 //	         encoders (nn.EncodeParams, nn.EncodeParamsInto, the fed codec
-//	         payload encoder, the relay-frame encoder and the exact
-//	         accumulator's wire encoding), and every Write-style call
-//	         inside internal/fed
+//	         payload encoder, the relay-frame encoder and the exact sums'
+//	         wire encodings, Accum's and ParamSum's), and every
+//	         Write-style call inside internal/fed
 //	allowed  (*nn.Network).Params — the learned parameter vector, the only
 //	         data the paper permits to leave a device
 func DefaultPrivacyConfig() TaintConfig {
@@ -85,10 +85,11 @@ func DefaultPrivacyConfig() TaintConfig {
 			"(*fedpower/internal/fed.codecState).encodePayload",
 			"(*fedpower/internal/fed.codecState).writeRelay",
 			"(*fedpower/internal/nn.Accum).AppendWire",
+			"(*fedpower/internal/nn.ParamSum).AppendWire",
 		},
 		SinkFields: []string{
 			"fedpower/internal/fed.message.params",
-			"fedpower/internal/fed.message.sums",
+			"fedpower/internal/fed.message.sum",
 		},
 		WriterSinkPkgs: []string{
 			"fedpower/internal/fed",

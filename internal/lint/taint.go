@@ -384,10 +384,17 @@ func (g *taintGraph) call(pkg *Package, call *ast.CallExpr) {
 
 	callee, iface := g.mod.StaticCallee(pkg, call)
 
-	// Sink: tainted argument to a configured sink function.
+	// Sink: tainted argument to a configured sink function. A sink method's
+	// receiver is an argument too: an encoder method ships its receiver.
 	if callee != nil && g.cfg.sinkFuncs[callee] {
 		sink := g.newSink(pos, "argument to "+callee.FullName())
-		for _, arg := range call.Args {
+		args := call.Args
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+				args = append([]ast.Expr{sel.X}, args...)
+			}
+		}
+		for _, arg := range args {
 			g.flowInto(pkg, []taintNode{sink}, g.refs(pkg, arg), pos, "passed to sink "+callee.FullName())
 		}
 	}

@@ -137,6 +137,97 @@ func TestPrivacyTaintRealModuleClean(t *testing.T) {
 	}
 }
 
+// relayPlant is a file planted into a copy of internal/fed by
+// TestPrivacyTaintRelayedParamSum: telemetry summed into a ParamSum that
+// then leaves as a relay frame's payload, once through the message field
+// and once through the sum's own wire encoding.
+const relayPlant = `package fed
+
+import (
+	"bufio"
+
+	"fedpower/internal/nn"
+	"fedpower/internal/sim"
+)
+
+func plantedRelayFrame(d *sim.Device, cs *codecState, w *bufio.Writer) {
+	s := nn.NewParamSum(1)
+	s.Add([]float64{d.Step(0.1).PowerW})
+	_, _ = cs.writeMessage(w, message{kind: msgRelay, round: 1, leaves: 1, sum: s})
+}
+
+func plantedRelayBlock(d *sim.Device) []byte {
+	s := nn.NewParamSum(1)
+	s.Add([]float64{d.Stats().EnergyJ})
+	return s.AppendWire(nil)
+}
+`
+
+// TestPrivacyTaintRelayedParamSum shows the default boundary still covers
+// the relay payload: in a copy of the packages internal/fed builds on,
+// with relayPlant added, both planted flows from telemetry into a relayed
+// ParamSum are findings at the plant — one at the message field, one at
+// the sum's encoder, whose receiver is its payload. (The analysis is
+// context-insensitive, so the tainted frame also lights up the fed code
+// it passes through; those findings are not asserted.)
+func TestPrivacyTaintRelayedParamSum(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := filepath.Join(wd, "..", ".."), t.TempDir()
+	if err := os.WriteFile(filepath.Join(dst, "go.mod"), []byte("module fedpower\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range []string{"fed", "nn", "par", "sim", "trace"} {
+		dir := filepath.Join("internal", pkg)
+		if err := os.MkdirAll(filepath.Join(dst, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(src, dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, dir, filepath.Base(f)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plant := filepath.Join(dst, "internal", "fed", "relay_plant.go")
+	if err := os.WriteFile(plant, []byte(relayPlant), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(dst)
+	if err != nil {
+		t.Fatalf("load planted module: %v", err)
+	}
+	found := make(map[int]string)
+	for _, d := range (PrivacyTaint{Config: DefaultPrivacyConfig()}).CheckModule(NewModule(pkgs)) {
+		if d.Pos.Filename == plant {
+			found[d.Pos.Line] += d.Message
+		}
+	}
+	for _, want := range []struct {
+		line int
+		sink string
+	}{
+		{13, "wire payload field sum"},                                  // plantedRelayFrame's message
+		{19, "argument to (*fedpower/internal/nn.ParamSum).AppendWire"}, // plantedRelayBlock's encode
+	} {
+		if !strings.Contains(found[want.line], want.sink) {
+			t.Errorf("planted relay leak at line %d into %q not reported; plant findings: %v", want.line, want.sink, found)
+		}
+	}
+}
+
 // TestPrivacyTaintUnresolvedSpecIsFinding guards against a silently vacuous
 // analysis: on a multi-package module, a config spec naming a type or
 // function that no longer exists is itself reported.

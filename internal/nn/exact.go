@@ -47,7 +47,10 @@ import (
 // The federation's vector sums — the TCP server's, the aggregators' and
 // the in-process tree's — do not use an Accum vector bare: they go through
 // ParamSum (sum.go), which keeps a float64 lead in front of each Accum and
-// touches the Accum only when the lead's sum would be inexact.
+// touches the Accum only when the lead's sum would be inexact. ParamSum
+// also writes and reads the relay frame's block of AppendWire encodings
+// itself, so a relay hop builds no Accum for a parameter whose sum is one
+// float64; the bytes are this file's encoding either way.
 
 const (
 	// accLimbs is the number of 64-bit limbs in the fixed-point window.

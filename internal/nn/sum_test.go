@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -36,6 +37,31 @@ func TestParamSumFloat32UpdatesStayClean(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("param %d: mean %v, MeanAccum %v", i, got[i], want[i])
 		}
+	}
+}
+
+// Fold moves every lead into its accumulator and returns the accumulators,
+// which then hold the whole sum: the plain Accum vector AppendWire's block
+// is held to, entry by entry. The returned slice is the sum's own storage.
+func (s *ParamSum) Fold() []Accum {
+	for i, l := range s.lead {
+		if !s.dirty[i] {
+			s.acc[i].Reset()
+			s.dirty[i] = true
+		}
+		s.acc[i].Add(l)
+		s.lead[i] = 0
+	}
+	s.ndirty = len(s.lead)
+	return s.acc
+}
+
+// AddAccums merges one accumulator per parameter into the sum, the plain
+// path AddWire is held to: every merged parameter becomes dirty.
+func (s *ParamSum) AddAccums(src []Accum) {
+	for i := range src {
+		s.mark(i)
+		s.acc[i].AddAccum(&src[i])
 	}
 }
 
@@ -108,6 +134,153 @@ func compareFold(t *testing.T, step, k int, s *ParamSum, want []Accum) {
 	}
 }
 
+// oracleBlock is the relay block of the Accum vector acc: each
+// accumulator's AppendWire encoding, back to back.
+func oracleBlock(acc []Accum) []byte {
+	var b []byte
+	for i := range acc {
+		b = acc[i].AppendWire(b)
+	}
+	return b
+}
+
+// compareAppendWire requires s.AppendWire, onto a prefix of the input's
+// choosing in a buffer of the input's capacity, to keep the prefix and
+// write the bytes of s's Fold + AppendWire oracle (taken on a copy first),
+// which are want's.
+func (tr *sumTrace) compareAppendWire(t *testing.T, step, k int, s *ParamSum, want []Accum) {
+	ref := oracleBlock(cloneSum(s).Fold())
+	if plain := oracleBlock(want); !bytes.Equal(ref, plain) {
+		t.Fatalf("step %d, sum %d: folded block %x, Accum block %x", step, k, ref, plain)
+	}
+	prefix := tr.take(int(tr.next() % 4))
+	dst := append(make([]byte, 0, len(prefix)+int(tr.next())), prefix...)
+	got := s.AppendWire(dst)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], ref) {
+		t.Fatalf("step %d, sum %d: AppendWire %x after prefix %x, oracle %x", step, k, got, prefix, ref)
+	}
+}
+
+// addWire merges block into sum k through AddWire and, on the oracle,
+// through DecodeAccumInto + AddAccum, entry by entry. The block must pass
+// ScanAccumWire first, as a relay frame does.
+func (tr *sumTrace) addWire(t *testing.T, step, k int, block []byte) {
+	if err := ScanAccumWire(block, sumLen); err != nil {
+		t.Fatalf("step %d: ScanAccumWire rejects %x: %v", step, block, err)
+	}
+	w := tr.want[k]
+	rest := block
+	for i := range w {
+		var tmp Accum
+		n, err := DecodeAccumInto(&tmp, rest)
+		if err != nil {
+			t.Fatalf("step %d: DecodeAccumInto rejects entry %d of a scanned block %x: %v", step, i, block, err)
+		}
+		w[i].AddAccum(&tmp)
+		rest = rest[n:]
+	}
+	tr.got[k].AddWire(block)
+}
+
+// limbs draws n magnitude limbs.
+func (tr *sumTrace) limbs(n int) []uint64 {
+	l := make([]uint64, n)
+	for i := range l {
+		var raw [8]byte
+		copy(raw[:], tr.take(8))
+		l[i] = binary.LittleEndian.Uint64(raw[:])
+	}
+	return l
+}
+
+// putEntry encodes one accumulator entry from its parts as AppendWire's
+// format does, without trimming: tallies (when non-nil), then the origin
+// and the limbs as given.
+func putEntry(neg bool, tallies []uint32, origin int, limbs []uint64) []byte {
+	flags := byte(len(limbs))
+	if neg {
+		flags |= accFlagNeg
+	}
+	if tallies != nil {
+		flags |= accFlagNonFinite
+	}
+	b := []byte{flags}
+	for _, c := range tallies {
+		b = binary.LittleEndian.AppendUint32(b, c)
+	}
+	if len(limbs) > 0 {
+		b = append(b, byte(origin))
+		for _, l := range limbs {
+			b = binary.LittleEndian.AppendUint64(b, l)
+		}
+	}
+	return b
+}
+
+// entry returns one entry of a hostile relay block: the canonical
+// encoding canon, or a valid encoding no AppendWire writes.
+func (tr *sumTrace) entry(canon []byte) []byte {
+	b := tr.next()
+	origin := int(tr.next()) % accLimbs
+	neg := b>>7 != 0
+	switch b & 7 {
+	case 1: // canon with a zero limb padded on, above or below
+		var a Accum
+		if _, err := DecodeAccumInto(&a, canon); err != nil {
+			panic(err)
+		}
+		m := a.magnitude()
+		var tallies []uint32
+		if a.nan != 0 || a.posInf != 0 || a.negInf != 0 {
+			tallies = []uint32{a.nan, a.posInf, a.negInf}
+		}
+		if m.top < 0 {
+			return putEntry(neg, tallies, origin, []uint64{0})
+		}
+		var l []uint64
+		for i := m.bottom; i <= m.top; i++ {
+			l = append(l, m.limb(i))
+		}
+		switch {
+		case m.top+1 < accLimbs && (b&8 == 0 || m.bottom == 0):
+			return putEntry(m.neg, tallies, m.bottom, append(l, 0))
+		case m.bottom > 0:
+			return putEntry(m.neg, tallies, m.bottom-1, append([]uint64{0}, l...))
+		}
+		return canon
+	case 2: // a zero magnitude, signed either way, over 1–3 limbs
+		return putEntry(neg, nil, min(origin, accLimbs-3), make([]uint64, 1+int(b>>3)%3))
+	case 3: // bits below 2^-1074
+		l := tr.limbs(1 + int(b>>3)%2)
+		l[0] |= 1 << (b >> 4 % accSubLSB)
+		return putEntry(neg, nil, 0, l)
+	case 4: // a magnitude of 2^1024 or more
+		l := tr.limbs(1 + int(b>>3)&1)
+		l[len(l)-1] |= 1 << (b >> 4 % 64)
+		return putEntry(neg, nil, accLimbs-len(l), l)
+	case 5: // a span of three or more limbs
+		span := 3 + int(b>>3)%5
+		return putEntry(neg, nil, min(origin, accLimbs-span), tr.limbs(span))
+	case 6: // non-finite tallies, with or without a finite part
+		tallies := []uint32{uint32(b>>3) & 1, uint32(b>>4) & 3, uint32(b>>6) & 1}
+		return putEntry(neg, tallies, min(origin, accLimbs-1), tr.limbs(int(b>>5)&1))
+	case 7: // one or two raw limbs: a float64 or wider than one
+		span := 1 + int(b>>3)&1
+		return putEntry(neg, nil, min(origin, accLimbs-span), tr.limbs(span))
+	}
+	return canon
+}
+
+// hostileBlock builds a relay block from the other sum's oracle encodings,
+// each kept or replaced by a hostile entry.
+func (tr *sumTrace) hostileBlock(o int) []byte {
+	var block []byte
+	for i := range tr.want[o] {
+		block = append(block, tr.entry(tr.want[o][i].AppendWire(nil))...)
+	}
+	return block
+}
+
 // step applies one operation to sum k (and, for merges, reads the other,
 // o).
 func (tr *sumTrace) step(t *testing.T, step int) {
@@ -115,7 +288,7 @@ func (tr *sumTrace) step(t *testing.T, step int) {
 	k := int(op>>7) & 1
 	o := 1 - k
 	g, w := tr.got[k], tr.want[k]
-	switch op & 7 {
+	switch op & 15 {
 	case 0, 1:
 		v := tr.vector()
 		g.Add(v)
@@ -126,7 +299,7 @@ func (tr *sumTrace) step(t *testing.T, step int) {
 	case 3:
 		g.AddSum(g)
 		MergeAccum(w, w)
-	case 4: // the other sum's relay frame
+	case 4: // the other sum's relay frame, as Accums
 		g.AddAccums(cloneSum(tr.got[o]).Fold())
 		MergeAccum(w, tr.want[o])
 	case 5:
@@ -138,11 +311,21 @@ func (tr *sumTrace) step(t *testing.T, step int) {
 		compareMean(t, step, k, g, w, 1+int(tr.next()))
 	case 7:
 		compareFold(t, step, k, g, w)
+	case 8, 9:
+		tr.compareAppendWire(t, step, k, g, w)
+	case 10, 11: // the other sum's relay frame, as bytes
+		tr.addWire(t, step, k, tr.got[o].AppendWire(nil))
+	case 12, 13: // a relay frame no AppendWire writes
+		tr.addWire(t, step, k, tr.hostileBlock(o))
+	case 14: // a sum's own frame merged into itself
+		tr.addWire(t, step, k, g.AppendWire(nil))
+	case 15: // a frame of zero entries
+		tr.addWire(t, step, k, make([]byte, sumLen))
 	}
 }
 
 // check compares both sums with their oracles on copies: the mean's bits,
-// the folded wire bytes and the dirty count.
+// the folded and the AppendWire bytes, and the dirty count.
 func (tr *sumTrace) check(t *testing.T, step int) {
 	for k, g := range tr.got {
 		dirty := 0
@@ -156,16 +339,23 @@ func (tr *sumTrace) check(t *testing.T, step int) {
 		}
 		compareMean(t, step, k, cloneSum(g), tr.want[k], 1)
 		compareFold(t, step, k, cloneSum(g), tr.want[k])
+		if got, ref := cloneSum(g).AppendWire(nil), oracleBlock(tr.want[k]); !bytes.Equal(got, ref) {
+			t.Fatalf("step %d, sum %d: AppendWire %x, Accum block %x", step, k, got, ref)
+		}
 	}
 }
 
 // FuzzParamSumMatchesAccum runs random operation sequences on ParamSum and
 // on the plain Accum vector it stands in front of, and requires every mean
-// bit and every folded wire byte to agree after every operation. The seeds
+// bit and every relay-block byte to agree after every operation. The seeds
 // drive the lead's edges: NaN payloads and infinities, ±MaxFloat64 pairs
 // that overflow it, ±0 and subnormals, float32-exact values that keep it
 // clean, values 2^60 apart that spill it, and merges, folds and readings of
-// half-dirty sums.
+// half-dirty sums. The relay ops hold AppendWire to Fold + AppendWire and
+// AddWire to DecodeAccumInto + AddAccum, over blocks that mix canonical
+// entries with valid hostile ones: padded spans, signed zero magnitudes,
+// bits below 2^-1074, magnitudes of 2^1024 and more, spans of three or
+// more limbs and non-finite tallies.
 func FuzzParamSumMatchesAccum(f *testing.F) {
 	var (
 		nan     = []byte{0, 0x35, 0x12, 0, 0, 0, 0, 0, 0}       // NaN, payload 0x1235
@@ -194,6 +384,24 @@ func FuzzParamSumMatchesAccum(f *testing.F) {
 		fold0    = []byte{7}
 		fold1    = []byte{0x87}
 		float32s = add(0, f32, f32, f32)
+		append0  = []byte{8, 2, 0xaa, 0xbb, 1} // sum 0's AppendWire after a 2-byte prefix, 1 spare byte
+		append1  = []byte{0x88, 0, 255}
+		wire10   = []byte{0x8a} // sum 1 += sum 0's AppendWire block
+		wire01   = []byte{10}
+		selfWire = []byte{14}
+		zeros1   = []byte{0x8f}
+	)
+	hostile10 := func(entries ...[]byte) []byte { return accSeed(append([][]byte{{0x8c}}, entries...)...) }
+	var (
+		padAbove = []byte{1, 0}
+		padBelow = []byte{9, 0}
+		negZero2 = []byte{0x82, 5}
+		below    = []byte{0x13, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+		huge     = []byte{0x84, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+		wide     = []byte{5, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80}
+		tallies  = []byte{0x7e, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
+		rawOne   = []byte{7, 16, 0, 0, 0, 0, 0, 0, 0, 0x80}
+		rawWide  = []byte{0x8f, 16, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}
 	)
 	f.Add(accSeed(add(0, nan, negNaN, nan), add(0, nan, one, inf)))
 	f.Add(accSeed(add(0, inf, negInf, one), add(0, negInf, negInf, inf), mean0, merge10))
@@ -203,6 +411,10 @@ func FuzzParamSumMatchesAccum(f *testing.F) {
 	f.Add(accSeed(float32s, float32s, float32s, mean0, merge10, self0, relay10, fold0, merge10))
 	f.Add(accSeed(add(0, one, big, small), add(0, big, small, one), add(0, small, one, big), mean0, merge10, merge10))
 	f.Add(accSeed(add(0, big, big, big), add(1, small, small, small), merge01, fold0, add(0, one, one, one), relay10, reset0, merge10))
+	f.Add(accSeed(float32s, append0, wire10, add(0, sub, tiny, one), wire10, append1, mean0, wire01, selfWire, zeros1))
+	f.Add(accSeed(add(0, max, max, inf), add(0, big, small, nan), wire10, append1, selfWire, wire01, fold1))
+	f.Add(accSeed(add(0, one, big, small), hostile10(padAbove, negZero2, below), append1, hostile10(huge, wide, tallies), wire01))
+	f.Add(accSeed(add(0, sub, negMax, f32), hostile10(rawOne, rawWide, padBelow), append1, wire01, mean0, hostile10(padBelow, padAbove, rawOne)))
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 400; i++ {
 		seed := make([]byte, 16+rng.Intn(112))
@@ -220,4 +432,95 @@ func FuzzParamSumMatchesAccum(f *testing.F) {
 			tr.check(t, step)
 		}
 	})
+}
+
+// scanMatchesDecode requires ScanAccumWire(in, 1) to accept in exactly
+// when DecodeAccumInto accepts it and consumes every byte, and to fail
+// with DecodeAccumInto's error text, behind the entry's index, or with the
+// trailing-byte count.
+func scanMatchesDecode(t *testing.T, in []byte) {
+	t.Helper()
+	var a Accum
+	n, derr := DecodeAccumInto(&a, in)
+	serr := ScanAccumWire(in, 1)
+	switch {
+	case derr != nil:
+		if want := "accumulator 0: " + derr.Error(); serr == nil || serr.Error() != want {
+			t.Fatalf("% x: ScanAccumWire %v, want %q", in, serr, want)
+		}
+	case n == len(in):
+		if serr != nil {
+			t.Fatalf("% x: ScanAccumWire rejects what DecodeAccumInto accepts: %v", in, serr)
+		}
+	default:
+		if want := fmt.Sprintf("block has %d trailing bytes", len(in)-n); serr == nil || serr.Error() != want {
+			t.Fatalf("% x: ScanAccumWire %v, want %q", in, serr, want)
+		}
+		if err := ScanAccumWire(in[:n], 1); err != nil {
+			t.Fatalf("% x: ScanAccumWire rejects the %d bytes DecodeAccumInto consumes: %v", in, n, err)
+		}
+	}
+}
+
+// TestScanAccumWireMatchesDecode holds ScanAccumWire to DecodeAccumInto's
+// acceptance rules and errors, entry by entry: a table of every rule's
+// edge, then random corruptions of canonical encodings, then whole blocks.
+func TestScanAccumWireMatchesDecode(t *testing.T) {
+	var canon [][]byte
+	for _, vs := range [][]float64{
+		{}, {1.5}, {-math.MaxFloat64, -math.MaxFloat64}, {math.NaN(), 2}, {math.Inf(1), math.Inf(-1)},
+		{0x1p-1074}, {0x1p100, 0x1p-100}, {-1, 0x1p-60},
+	} {
+		var a Accum
+		for _, v := range vs {
+			a.Add(v)
+		}
+		canon = append(canon, a.AppendWire(nil))
+	}
+	limbs := func(n int) []byte { return make([]byte, 8*n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	table := [][]byte{
+		{},                          // empty
+		{35},                        // span past the window
+		{accSpanMask},               // the largest span field
+		{accFlagNonFinite, 1, 0, 0}, // cut in the tallies
+		cat([]byte{accFlagNonFinite}, limbs(2)[:12]), // tallies only
+		{1},                                      // cut before the origin
+		cat([]byte{1, 16}, limbs(1)[:5]),         // cut in the limbs
+		cat([]byte{2, 33}, limbs(2)),             // span past the top limb
+		cat([]byte{34, 0}, limbs(34)),            // the whole window
+		cat([]byte{34, 1}, limbs(34)),            // the whole window, shifted out of range
+		cat([]byte{accFlagNeg | 1, 5}, limbs(1)), // a negative zero magnitude
+		cat([]byte{accFlagNeg | accFlagNonFinite | 3, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 31}, limbs(3)),
+		cat(canon[1], []byte{0xee, 0xff}), // trailing bytes
+	}
+	for _, in := range append(table, canon...) {
+		scanMatchesDecode(t, in)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		in := append([]byte(nil), canon[rng.Intn(len(canon))]...)
+		switch rng.Intn(3) {
+		case 0:
+			in[rng.Intn(len(in))] ^= byte(1 + rng.Intn(255))
+		case 1:
+			in = in[:rng.Intn(len(in)+1)]
+		default:
+			in = append(in, byte(rng.Intn(256)))
+		}
+		scanMatchesDecode(t, in)
+	}
+
+	block := bytes.Join(canon, nil)
+	if err := ScanAccumWire(block, len(canon)); err != nil {
+		t.Fatalf("block of %d encodings: %v", len(canon), err)
+	}
+	want := fmt.Sprintf("accumulator %d: nn: accumulator encoding empty", len(canon))
+	if err := ScanAccumWire(block, len(canon)+1); err == nil || err.Error() != want {
+		t.Fatalf("block one entry short: %v, want %q", err, want)
+	}
+	want = fmt.Sprintf("block has %d trailing bytes", len(canon[len(canon)-1]))
+	if err := ScanAccumWire(block, len(canon)-1); err == nil || err.Error() != want {
+		t.Fatalf("block one entry long: %v, want %q", err, want)
+	}
 }

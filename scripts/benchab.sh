@@ -16,6 +16,13 @@
 # its exit status is this script's: 1 when an end-to-end metric of this tree
 # is worse than the base's by more than its bound, or spreads wider than it.
 # About 22 minutes on a 2-vCPU host.
+#
+# Before the pairs it prints the layout table: the address of each symbol
+# on the device path in both sides' fedbench binaries, and whether the two
+# differ mod 64. The device workloads read a 32-byte shift of that code as
+# a 15–30 % change with no device code touched, so a moved symbol says to
+# read a device-workload difference as layout first. The table is
+# informational and does not change the exit status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +35,33 @@ fi
 tmp="$(mktemp -d)"
 trap 'git worktree remove --force "$tmp/base" 2>/dev/null; rm -rf "$tmp"' EXIT
 git worktree add --quiet --detach "$tmp/base" "$base"
+
+# The layout table. bench/run.sh builds the side's binary before running
+# it; -h makes the run itself a no-op. A side that does not build prints
+# empty rows here and fails in its first pair, as before.
+for side in base head; do
+  dir="$PWD"
+  if [ "$side" = base ]; then dir="$tmp/base"; fi
+  (cd "$dir" && sh bench/run.sh -h) > /dev/null 2>&1 || true
+  go tool nm "$dir/.bench_build/fedbench" > "$tmp/$side.nm" 2> /dev/null || : > "$tmp/$side.nm"
+done
+echo "==> device-path layout, base against head"
+printf '%-32s %8s %8s  %s\n' symbol base head 'mod 64'
+for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Network).Forward' \
+  'nn.(*Adam).Step' 'replay.(*Buffer).Add' 'replay.(*Buffer).SampleInto' 'sim.(*Device).Step' \
+  'core.(*Controller).policyAt' 'core.(*Controller).Observe' 'core.(*Controller).Update' \
+  'workload.(*Stream).Next'; do
+  b="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/base.nm")"
+  h="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/head.nm")"
+  if [ -z "$b" ] || [ -z "$h" ]; then
+    verdict="not in both binaries"
+  elif [ $(( (0x$h - 0x$b) % 64 )) -eq 0 ]; then
+    verdict=same
+  else
+    verdict="moved by $(( ((0x$h - 0x$b) % 64 + 64) % 64 ))"
+  fi
+  printf '%-32s %8s %8s  %s\n' "$sym" "${b:--}" "${h:--}" "$verdict"
+done
 
 for pair in 1 2 3 4 5 6 7; do
   sides="base head"
