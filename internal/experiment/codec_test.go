@@ -37,7 +37,7 @@ func runCodecFederation(t *testing.T, o Options, sc Scenario, codec fed.Codec, w
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = newNeuralDevice(o, int64(idResilienceDevice+i), specs)
+		clients[i] = NewNeuralDevice(o, int64(idResilienceDevice+i), specs)
 	}
 	initial := core.NewController(o.Core, newRNG(o.Seed, idResilienceInit)).ModelParams()
 

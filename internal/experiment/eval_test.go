@@ -125,7 +125,7 @@ func TestEvaluateIndependentOfTrainingState(t *testing.T) {
 	// evaluate must not perturb a live device/controller: run one, snapshot
 	// the controller, evaluate, and verify the controller is untouched.
 	o := testOptions()
-	dev := newNeuralDevice(o, 50, workload.SPLASH2()[:2])
+	dev := NewNeuralDevice(o, 50, workload.SPLASH2()[:2])
 	if _, err := dev.TrainRound(1, dev.Ctrl.ModelParams()); err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func RunResilience(o ResilienceOptions) (*ResilienceResult, error) {
 			_ = srv.Close()
 			return nil, err
 		}
-		clients[i] = newNeuralDevice(o.Options, int64(idResilienceDevice+i), specs)
+		clients[i] = NewNeuralDevice(o.Options, int64(idResilienceDevice+i), specs)
 		injectors[i] = faultnet.NewInjector(o.FaultSeed+int64(i), o.Faults)
 		inj := injectors[i]
 		addr := srv.Addr()

@@ -80,7 +80,7 @@ func TestResilienceZeroFaultsMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = newNeuralDevice(r.Options, int64(idResilienceDevice+i), specs)
+		clients[i] = NewNeuralDevice(r.Options, int64(idResilienceDevice+i), specs)
 	}
 	global := core.NewController(r.Options.Core, newRNG(r.Options.Seed, idResilienceInit)).ModelParams()
 	if err := fed.Run(global, clients, r.Options.Rounds, nil); err != nil {

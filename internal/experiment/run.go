@@ -140,7 +140,7 @@ func newFederation(o Options, sc Scenario, deviceBase, initID int64) ([]fed.Clie
 		if err != nil {
 			return nil, nil, err
 		}
-		clients[i] = newNeuralDevice(o, deviceBase+int64(i), specs)
+		clients[i] = NewNeuralDevice(o, deviceBase+int64(i), specs)
 	}
 	global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, initID)).ModelParams()
 	return clients, append([]float64(nil), global...), nil
@@ -205,7 +205,7 @@ func RunScenario(o Options, scIndex int, sc Scenario) (*ScenarioResult, error) {
 		if err != nil {
 			return err
 		}
-		dev := newNeuralDevice(o, int64(idLocalDevice+devIdx+10*scIndex), specs)
+		dev := NewNeuralDevice(o, int64(idLocalDevice+devIdx+10*scIndex), specs)
 		local := core.NewController(o.Core, newRNG(o.Seed, idLocalInit, int64(scIndex), int64(devIdx))).ModelParams()
 		localCopy := append([]float64(nil), local...)
 		err = fed.Run(localCopy, []fed.Client{dev}, o.Rounds, func(round int, g []float64) {

@@ -279,7 +279,7 @@ func TestNeuralDeviceTrainRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := newNeuralDevice(o, 1, specs)
+	dev := NewNeuralDevice(o, 1, specs)
 	initial := append([]float64(nil), dev.Ctrl.ModelParams()...)
 	out, err := dev.TrainRound(1, initial)
 	if err != nil {
@@ -313,7 +313,7 @@ func TestNeuralDeviceTrainsOnlyAssignedApps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := newNeuralDevice(o, 2, specs)
+	dev := NewNeuralDevice(o, 2, specs)
 	if _, err := dev.TrainRound(1, dev.Ctrl.ModelParams()); err != nil {
 		t.Fatal(err)
 	}
