@@ -205,45 +205,19 @@ func (j *job) device() error {
 }
 
 // deviceTrainer builds the device's round: T control steps of Algorithm 1
-// on a simulated device, returning the controller's parameters. The
-// plant, controller and workload streams are keyed on (-seed, -id) as the
-// experiments key their devices, so devices that share a seed but not an
-// ID train different trajectories.
+// on an experiment.NeuralDevice, the type the experiments train, keyed on
+// (-seed, -id) as they key theirs. Devices that share a seed but not an ID
+// train different trajectories.
 func (j *job) deviceTrainer() (fedpower.FederatedClientFunc, error) {
-	o := j.opts
 	specs, err := workload.ByNames(strings.Split(strings.ReplaceAll(j.trainApps, " ", ""), ",")...)
 	if err != nil {
 		return nil, err
 	}
-	id := int64(j.part.ID)
-	dev := fedpower.NewDevice(o.Table, o.Power, experiment.DeviceRNG(o.Seed, id, 1))
-	ctrl := fedpower.NewController(o.Core, experiment.DeviceRNG(o.Seed, id, 2))
-	stream := fedpower.NewStream(experiment.DeviceRNG(o.Seed, id, 3), specs)
-
-	// Bootstrap: load the first application and take one observation at the
-	// mid-range level, as a default governor would.
-	dev.Load(stream.Next())
-	dev.SetLevel(o.Table.Len() / 2)
-	obs := dev.Step(o.IntervalS)
-
-	var state []float64
+	d := experiment.NewNeuralDevice(j.opts, int64(j.part.ID), specs)
 	return func(round int, global []float64) ([]float64, error) {
-		ctrl.SetModelParams(global)
-		var reward float64
-		for t := 0; t < o.StepsPerRound; t++ {
-			if dev.Done() {
-				dev.Load(stream.Next())
-			}
-			state = fedpower.StateVector(obs, state)
-			action := ctrl.SelectAction(state)
-			dev.SetLevel(action)
-			obs = dev.Step(o.IntervalS)
-			r := o.Core.Reward.Reward(obs.NormFreq, obs.PowerW)
-			ctrl.Observe(state, action, r)
-			reward += r
-		}
+		params, err := d.TrainRound(round, global)
 		j.log.Printf("round %d: avg training reward %.3f, tau %.3f, buffer %d/%d",
-			round, reward/float64(o.StepsPerRound), ctrl.Tau(), ctrl.Buffer().Len(), ctrl.Buffer().Cap())
-		return ctrl.ModelParams(), nil
+			round, d.RoundReward(), d.Ctrl.Tau(), d.Ctrl.Buffer().Len(), d.Ctrl.Buffer().Cap())
+		return params, err
 	}, nil
 }

@@ -76,38 +76,11 @@ func main() {
 
 	// --- Train the federated neural controller on the same scenario ------
 	params := fedpower.DefaultControllerParams(table.Len())
-	type neuralDevice struct {
-		dev    *fedpower.Device
-		ctrl   *fedpower.Controller
-		stream *fedpower.Stream
-		obs    fedpower.Observation
-		state  []float64
-	}
+	opts := fedpower.DefaultOptions()
+	opts.Seed = 400
 	clients := make([]fedpower.FederatedClient, 2)
 	for i := range clients {
-		specs := resolve(scenario.Devices[i])
-		nd := &neuralDevice{
-			dev:    fedpower.NewDevice(table, pm, rand.New(rand.NewSource(int64(400+i)))),
-			ctrl:   fedpower.NewController(params, rand.New(rand.NewSource(int64(500+i)))),
-			stream: fedpower.NewStream(rand.New(rand.NewSource(int64(600+i))), specs),
-		}
-		nd.dev.Load(nd.stream.Next())
-		nd.dev.SetLevel(table.Len() / 2)
-		nd.obs = nd.dev.Step(interval)
-		clients[i] = fedpower.FederatedClientFunc(func(round int, global []float64) ([]float64, error) {
-			nd.ctrl.SetModelParams(global)
-			for t := 0; t < steps; t++ {
-				if nd.dev.Done() {
-					nd.dev.Load(nd.stream.Next())
-				}
-				nd.state = fedpower.StateVector(nd.obs, nd.state)
-				a := nd.ctrl.SelectAction(nd.state)
-				nd.dev.SetLevel(a)
-				nd.obs = nd.dev.Step(interval)
-				nd.ctrl.Observe(nd.state, a, params.Reward.Reward(nd.obs.NormFreq, nd.obs.PowerW))
-			}
-			return nd.ctrl.ModelParams(), nil
-		})
+		clients[i] = fedpower.NewNeuralDevice(opts, int64(i), resolve(scenario.Devices[i]))
 	}
 	global := fedpower.NewController(params, rand.New(rand.NewSource(999))).ModelParams()
 	globalCopy := append([]float64(nil), global...)

@@ -54,29 +54,19 @@ func main() {
 	params := fedpower.DefaultControllerParams(table.Len())
 	params.Reward = fedpower.RewardParams{PCritW: 0.45, KOffsetW: 0.04}
 
-	pm := fedpower.DefaultPowerModel()
-	dev := fedpower.NewDevice(table, pm, rand.New(rand.NewSource(3)))
-	ctrl := fedpower.NewController(params, rand.New(rand.NewSource(4)))
-
 	fmt.Printf("custom platform: %d levels (%.0f-%.0f MHz), budget %.2f W\n\n",
 		table.Len(), table.MinFreqMHz(), table.MaxFreqMHz(), params.Reward.PCritW)
 
-	// Train on back-to-back pipeline executions.
-	const interval, trainSteps = 0.5, 6000
-	dev.Load(fedpower.NewApp(pipeline))
-	dev.SetLevel(table.Len() / 2)
-	obs := dev.Step(interval)
-	var state []float64
-	for t := 0; t < trainSteps; t++ {
-		if dev.Done() {
-			dev.Load(fedpower.NewApp(pipeline))
-		}
-		state = fedpower.StateVector(obs, state)
-		a := ctrl.SelectAction(state)
-		dev.SetLevel(a)
-		obs = dev.Step(interval)
-		ctrl.Observe(state, a, params.Reward.Reward(obs.NormFreq, obs.PowerW))
+	// Train on back-to-back pipeline executions: one local round of 6000
+	// control intervals on the platform.
+	opts := fedpower.DefaultOptions()
+	opts.Seed = 3
+	opts.Table, opts.Core, opts.StepsPerRound = table, params, 6000
+	dev := fedpower.NewNeuralDevice(opts, 1, []fedpower.AppSpec{pipeline})
+	if _, err := dev.TrainRound(1, dev.Ctrl.ModelParams()); err != nil {
+		log.Fatal(err)
 	}
+	ctrl := dev.Ctrl
 
 	// Per phase: the policy's settled frequency choice vs the analytic
 	// optimum. The controller reacts to counter readings with one interval
@@ -84,17 +74,18 @@ func main() {
 	// first decision.
 	fmt.Println("phase-by-phase policy after training (aggregated over each phase):")
 	phaseNames := []string{"decode (memory)", "inference (compute)", "encode (mixed)"}
-	probe := fedpower.NewDevice(table, pm, rand.New(rand.NewSource(5)))
+	probe := fedpower.NewDevice(table, opts.Power, rand.New(rand.NewSource(5)))
 	app := fedpower.NewApp(pipeline)
 	probe.Load(app)
 	probe.SetLevel(table.Len() / 2)
-	o := probe.Step(interval)
+	o := probe.Step(opts.IntervalS)
 	type phaseAgg struct {
 		freqSum, powSum float64
 		steps           int
 		opt             int
 	}
 	aggs := make([]phaseAgg, len(pipeline.Phases))
+	var state []float64
 	for !probe.Done() {
 		// The decision for this interval is made on the previous
 		// observation; attribute the outcome to the phase it executed in.
@@ -103,7 +94,7 @@ func main() {
 		probe.SetLevel(a)
 		phase := phaseIndex(app.Progress(), pipeline.Phases)
 		aggs[phase].opt = probe.OptimalLevel(app.Demand(), params.Reward.PCritW)
-		o = probe.Step(interval)
+		o = probe.Step(opts.IntervalS)
 		aggs[phase].freqSum += o.FreqMHz
 		aggs[phase].powSum += o.PowerW
 		aggs[phase].steps++

@@ -37,8 +37,8 @@ import (
 
 const (
 	rounds   = 60
-	steps    = 100
-	interval = 0.5
+	interval = 0.5 // evaluation control interval [s]
+	seed     = 10  // the fleet's root seed; each device's streams are keyed on (seed, id)
 )
 
 // codec is the wire encoding both ends negotiate: delta ships float32
@@ -71,19 +71,26 @@ func main() {
 		srv.Addr(), rounds, codec, codec.TransferSize(len(initial)))
 
 	var wg sync.WaitGroup
-	runDevice := func(name string, id uint32, seed int64, appNames []string, flakyWrite int32) {
+	runDevice := func(name string, id uint32, appNames []string, flakyWrite int32, redialed chan struct{}) {
 		defer wg.Done()
-		if err := device(srv.Addr(), name, id, seed, appNames, flakyWrite); err != nil {
+		if err := device(srv.Addr(), name, id, appNames, flakyWrite, redialed); err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
 	}
 	wg.Add(2)
-	go runDevice("device-A", 1, 10, []string{"water-ns", "water-sp"}, 0)
+	go runDevice("device-A", 1, []string{"water-ns", "water-sp"}, 0, nil)
 	// Device B's first connection dies on its 12th write — the round-11
 	// model update — so the server drops it in round 11 and it rejoins.
-	go runDevice("device-B", 2, 20, []string{"ocean", "radix"}, 12)
+	// Its backoff is a timer the scheduler may fire only after device A
+	// has finished every remaining round alone, so the server waits after
+	// round 11 until B has redialed.
+	redialed := make(chan struct{})
+	go runDevice("device-B", 2, []string{"ocean", "radix"}, 12, redialed)
 
 	final, err := srv.Serve(initial, func(round int, _ []float64) {
+		if round == 11 {
+			<-redialed
+		}
 		if round%20 == 0 {
 			fmt.Printf("server: round %d/%d aggregated\n", round, rounds)
 		}
@@ -138,15 +145,12 @@ func (c flakyConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// device runs one federated participant over TCP: the same control loop a
-// real board would run, against the simulated processor — driven by the
-// resilient Participant, which reconnects under capped-backoff retry when
-// the link dies. flakyWrite > 0 rigs the first connection to fail on that
-// write.
-func device(server, name string, id uint32, seed int64, appNames []string, flakyWrite int32) error {
-	table := fedpower.JetsonNanoTable()
-	params := fedpower.DefaultControllerParams(table.Len())
-
+// device runs one federated participant over TCP: the NeuralDevice the
+// experiments train and `fedpower device` deploys, against the simulated
+// processor — driven by the resilient Participant, which reconnects under
+// capped-backoff retry when the link dies. flakyWrite > 0 rigs the first
+// connection to fail on that write and closes redialed on the second dial.
+func device(server, name string, id uint32, appNames []string, flakyWrite int32, redialed chan struct{}) error {
 	specs := make([]fedpower.AppSpec, 0, len(appNames))
 	for _, n := range appNames {
 		spec, err := fedpower.AppByName(n)
@@ -155,16 +159,10 @@ func device(server, name string, id uint32, seed int64, appNames []string, flaky
 		}
 		specs = append(specs, spec)
 	}
+	opts := fedpower.DefaultOptions()
+	opts.Seed = seed
+	nd := fedpower.NewNeuralDevice(opts, int64(id), specs)
 
-	dev := fedpower.NewDevice(table, fedpower.DefaultPowerModel(), rand.New(rand.NewSource(seed)))
-	ctrl := fedpower.NewController(params, rand.New(rand.NewSource(seed+1)))
-	stream := fedpower.NewStream(rand.New(rand.NewSource(seed+2)), specs)
-
-	dev.Load(stream.Next())
-	dev.SetLevel(table.Len() / 2)
-	obs := dev.Step(interval)
-
-	var state []float64
 	part := &fedpower.Participant{
 		Addr:  server,
 		ID:    id,
@@ -176,7 +174,7 @@ func device(server, name string, id uint32, seed int64, appNames []string, flaky
 			// the server finishes the remaining rounds without it; real
 			// deployments (`fedpower device`) keep human-scale backoff.
 			Base:   2 * time.Millisecond,
-			Jitter: rand.New(rand.NewSource(seed + 3)),
+			Jitter: rand.New(rand.NewSource(seed + int64(id))),
 		},
 	}
 	if flakyWrite > 0 {
@@ -187,28 +185,17 @@ func device(server, name string, id uint32, seed int64, appNames []string, flaky
 			if err != nil {
 				return nil, err
 			}
-			if atomic.AddInt32(&dials, 1) == 1 {
+			switch atomic.AddInt32(&dials, 1) {
+			case 1:
 				return flakyConn{Conn: c, count: &writes, n: flakyWrite}, nil
+			case 2:
+				close(redialed)
 			}
 			return c, nil
 		}
 	}
 
-	_, err := part.Run(fedpower.FederatedClientFunc(func(round int, global []float64) ([]float64, error) {
-		ctrl.SetModelParams(global)
-		for t := 0; t < steps; t++ {
-			if dev.Done() {
-				dev.Load(stream.Next())
-			}
-			state = fedpower.StateVector(obs, state)
-			action := ctrl.SelectAction(state)
-			dev.SetLevel(action)
-			obs = dev.Step(interval)
-			ctrl.Observe(state, action, params.Reward.Reward(obs.NormFreq, obs.PowerW))
-		}
-		return ctrl.ModelParams(), nil
-	}))
-	if err != nil {
+	if _, err := part.Run(nd); err != nil {
 		return err
 	}
 	fmt.Printf("%s: done (%d reconnects, %d B sent, %d B received)\n",

@@ -41,6 +41,8 @@ func main() {
 	device.SetLevel(table.Len() / 2)
 	obs := device.Step(interval)
 
+	// Algorithm 1 written out line by line, to gather per-step statistics;
+	// fedpower.NeuralDevice runs the same interval as a FederatedClient.
 	var state []float64
 	for round := 1; round <= rounds; round++ {
 		var rewardSum, freqSum float64

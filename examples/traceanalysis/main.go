@@ -26,23 +26,13 @@ func main() {
 	params := fedpower.DefaultControllerParams(table.Len())
 
 	// --- Train quickly on the full suite ---------------------------------
-	dev := fedpower.NewDevice(table, fedpower.DefaultPowerModel(), rand.New(rand.NewSource(1)))
-	ctrl := fedpower.NewController(params, rand.New(rand.NewSource(2)))
-	stream := fedpower.NewStream(rand.New(rand.NewSource(3)), fedpower.SPLASH2())
-	dev.Load(stream.Next())
-	dev.SetLevel(table.Len() / 2)
-	obs := dev.Step(interval)
-	var state []float64
-	for t := 0; t < 4000; t++ {
-		if dev.Done() {
-			dev.Load(stream.Next())
-		}
-		state = fedpower.StateVector(obs, state)
-		a := ctrl.SelectAction(state)
-		dev.SetLevel(a)
-		obs = dev.Step(interval)
-		ctrl.Observe(state, a, params.Reward.Reward(obs.NormFreq, obs.PowerW))
+	opts := fedpower.DefaultOptions()
+	opts.StepsPerRound = 4000
+	dev := fedpower.NewNeuralDevice(opts, 1, fedpower.SPLASH2())
+	if _, err := dev.TrainRound(1, dev.Ctrl.ModelParams()); err != nil {
+		log.Fatal(err)
 	}
+	ctrl := dev.Ctrl
 	fmt.Println("controller trained on 4000 control intervals")
 
 	// --- Record a greedy fft episode as a CSV trace ----------------------
@@ -58,6 +48,7 @@ func main() {
 	o := probe.Step(interval)
 	timeS := o.ElapsedS
 	step := 0
+	var state []float64
 	for !probe.Done() && step < 3000 {
 		state = fedpower.StateVector(o, state)
 		probe.SetLevel(ctrl.GreedyAction(state))

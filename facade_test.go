@@ -56,28 +56,6 @@ func TestEncodeDecodeModelThroughFacade(t *testing.T) {
 	}
 }
 
-func TestFederatedRunWeightedThroughFacade(t *testing.T) {
-	add := func(delta float64) fedpower.FederatedClientFunc {
-		return func(round int, global []float64) ([]float64, error) {
-			out := make([]float64, len(global))
-			for i, g := range global {
-				out[i] = g + delta
-			}
-			return out, nil
-		}
-	}
-	global := []float64{0}
-	err := fedpower.FederatedRunWeighted(global,
-		[]fedpower.FederatedClient{add(0), add(4)}, []float64{3, 1}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per round the weighted mean adds (3·0 + 1·4)/4 = 1.
-	if global[0] != 2 {
-		t.Fatalf("global = %v, want 2", global[0])
-	}
-}
-
 func TestCentralTrainerThroughFacade(t *testing.T) {
 	table := fedpower.JetsonNanoTable()
 	tr := fedpower.NewCentralTrainer(fedpower.DefaultControllerParams(table.Len()), rand.New(rand.NewSource(1)))

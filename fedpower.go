@@ -206,13 +206,6 @@ func FederatedRun(global []float64, clients []FederatedClient, rounds int, hook 
 	return fed.Run(global, clients, rounds, hook)
 }
 
-// FederatedRunWeighted is FederatedRun with per-client aggregation weights
-// (the original sample-count-weighted FedAvg); the paper's protocol is the
-// unweighted special case.
-func FederatedRunWeighted(global []float64, clients []FederatedClient, weights []float64, rounds int, hook RoundHook) error {
-	return fed.RunWeighted(global, clients, weights, rounds, hook)
-}
-
 // FederatedRunSampled is FederatedRun with partial client participation
 // per round (the original FedAvg's client-sampling parameter C); the
 // paper's protocol is the fraction = 1 special case.
@@ -477,6 +470,17 @@ func RunTable3(o Options) (*Table3Result, error) { return experiment.RunTable3(o
 
 // RunFig5 runs the split-half per-application comparison.
 func RunFig5(o Options) (*Fig5Result, error) { return experiment.RunFig5(o) }
+
+// NeuralDevice is a simulated edge device running the paper's neural
+// controller: the FederatedClient the experiments train and `fedpower
+// device` deploys.
+type NeuralDevice = experiment.NeuralDevice
+
+// NewNeuralDevice builds a NeuralDevice that trains on apps, its random
+// streams keyed on (o.Seed, id).
+func NewNeuralDevice(o Options, id int64, apps []AppSpec) *NeuralDevice {
+	return experiment.NewNeuralDevice(o, id, apps)
+}
 
 // RunOverhead measures controller runtime costs on this host.
 func RunOverhead(o Options, decisions int) *OverheadResult {

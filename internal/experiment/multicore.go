@@ -77,7 +77,9 @@ func (d *clusterDevice) bootstrap() {
 	d.started = true
 }
 
-// TrainRound implements fed.Client over the cluster.
+// TrainRound implements fed.Client over the cluster. Its interval is
+// NeuralDevice.step's on a different plant, a shared-clock cluster that
+// reloads each core, so it keeps its own loop.
 func (d *clusterDevice) TrainRound(round int, global []float64) ([]float64, error) {
 	d.ctrl.SetModelParams(global)
 	if !d.started {

@@ -55,31 +55,28 @@ func RunOverheadWithClock(o Options, decisions int, now Clock) *OverheadResult {
 	if decisions <= 0 {
 		decisions = 1000
 	}
-	ctrl := core.NewController(o.Core, newRNG(o.Seed, 5000))
-	dev := sim.NewDevice(o.Table, o.Power, newRNG(o.Seed, 5001))
-	stream := workload.NewStream(newRNG(o.Seed, 5002), workload.SPLASH2())
-	dev.Load(stream.Next())
-	dev.SetLevel(bootstrapLevel(o.Table))
-	obs := dev.Step(o.IntervalS)
-
-	var state []float64
+	// The probe keys its streams on ids 5000–5002 of the root seed, apart
+	// from every experiment device, so it builds its NeuralDevice directly.
+	d := &NeuralDevice{
+		Dev:      sim.NewDevice(o.Table, o.Power, newRNG(o.Seed, 5001)),
+		Ctrl:     core.NewController(o.Core, newRNG(o.Seed, 5000)),
+		Stream:   workload.NewStream(newRNG(o.Seed, 5002), workload.SPLASH2()),
+		interval: o.IntervalS,
+	}
+	ctrl := d.Ctrl
+	d.bootstrap()
 	// Warm the buffer so updates operate on realistic contents.
 	for i := 0; i < o.Core.BatchSize*2; i++ {
-		if dev.Done() {
-			dev.Load(stream.Next())
-		}
-		state = core.StateVector(obs, state)
-		a := ctrl.SelectAction(state)
-		dev.SetLevel(a)
-		obs = dev.Step(o.IntervalS)
-		ctrl.Observe(state, a, o.Core.Reward.Reward(obs.NormFreq, obs.PowerW))
+		a, r := d.step()
+		ctrl.Observe(d.state, a, r)
 	}
 
 	// Decision latency: state build + inference + sampling only (the
 	// device step is simulated time, not controller overhead).
+	state := d.state
 	start := now()
 	for i := 0; i < decisions; i++ {
-		state = core.StateVector(obs, state)
+		state = core.StateVector(d.lastObs, state)
 		_ = ctrl.SelectAction(state)
 	}
 	decision := now().Sub(start) / time.Duration(decisions)

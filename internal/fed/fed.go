@@ -11,13 +11,13 @@
 // transport:
 //
 //   - Function-call transport: engine.run (this file). Run, RunParallel,
-//     RunParallelCodec, RunWeighted, RunSampled, RunWithConfig and RunTree
+//     RunParallelCodec, RunSampled, RunWithConfig and RunTree
 //     are argument validation plus one call into it; what distinguishes
 //     them is data on the engine value — the cohort (everyone, or a seeded
 //     per-round draw expressed as a per-client sit-out mask), the failure
 //     policy and quorum, the per-client codec link, and the aggregation
-//     rule (nn.AverageParams, nn.WeightedAverageParams, or a topology's
-//     exact subtree sums rounded once at the root). Every failure it
+//     rule (nn.AverageParams, or a topology's exact subtree sums rounded
+//     once at the root). Every failure it
 //     returns is a *RoundError naming round, phase and client. It is
 //     deterministic at any width and is what the experiment harness uses.
 //   - Socket transport: Server.round over a session (server.go), shared
@@ -32,10 +32,10 @@
 // overlap instead of queueing behind the slowest link: broadcast and
 // collect are two fan-outs with the drop/quorum decision between them, run
 // on a persistent par.Pool over cap-guarded session scratch so that a
-// steady-state round allocates nothing (BenchmarkServerRound gates 0
-// allocs/op). Folding both behind one per-link "exchange" would make the
-// shared loop branch on which transport called it — and cost the TCP round
-// either its overlap or its allocation bound.
+// steady-state round allocates nothing (TestServerRoundAllocFree gates 0
+// allocations per round). Folding both behind one per-link "exchange"
+// would make the shared loop branch on which transport called it — and
+// cost the TCP round either its overlap or its allocation bound.
 //
 // What the engines share is everything below the loop: the Client
 // interface, the parameter codec and its per-link per-direction state
@@ -119,7 +119,6 @@ package fed
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"fedpower/internal/nn"
@@ -355,32 +354,6 @@ func RunParallel(global []float64, clients []Client, rounds, width int, hook Rou
 // The zero Codec disables emulation, making this identical to RunParallel.
 func RunParallelCodec(global []float64, clients []Client, rounds, width int, codec Codec, hook RoundHook) error {
 	return engine{rounds: rounds, width: width, codec: codec, hook: hook, aggregate: flatMean}.run(global, clients)
-}
-
-// RunWeighted is Run with per-client aggregation weights — the original
-// FedAvg formulation, where each client counts proportionally to its local
-// sample volume. Weights must be finite and non-negative with a positive,
-// finite sum. The paper's protocol is the unweighted special case ("it is
-// unweighted, giving the same importance to each client", §III-B).
-func RunWeighted(global []float64, clients []Client, weights []float64, rounds int, hook RoundHook) error {
-	if len(weights) != len(clients) {
-		return fmt.Errorf("fed: %d weights for %d clients", len(weights), len(clients))
-	}
-	total := 0.0
-	for i, w := range weights {
-		// Written so NaN fails too: every comparison with NaN is false.
-		if !(w >= 0) || math.IsInf(w, 1) {
-			return fmt.Errorf("fed: weight %v for client %d is not a finite non-negative number", w, i)
-		}
-		total += w
-	}
-	if total <= 0 || math.IsInf(total, 1) {
-		return fmt.Errorf("fed: aggregation weights sum to %v, want a positive finite total", total)
-	}
-	return engine{rounds: rounds, hook: hook, aggregate: func(dst []float64, locals [][]float64) error {
-		nn.WeightedAverageParams(dst, locals, weights)
-		return nil
-	}}.run(global, clients)
 }
 
 // RunSampled executes federated averaging with partial participation: each

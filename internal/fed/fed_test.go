@@ -3,7 +3,6 @@ package fed
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -158,79 +157,6 @@ func TestRunCopiesClientReturns(t *testing.T) {
 	}
 	if global[0] != 3 {
 		t.Fatalf("global = %v, want 3", global[0])
-	}
-}
-
-func TestRunWeightedAverages(t *testing.T) {
-	global := []float64{0}
-	clients := []Client{constClient{[]float64{1}}, constClient{[]float64{5}}}
-	// Weights 3:1 → (3·1 + 1·5)/4 = 2.
-	if err := RunWeighted(global, clients, []float64{3, 1}, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if global[0] != 2 {
-		t.Fatalf("weighted global = %v, want 2", global[0])
-	}
-}
-
-func TestRunWeightedEqualWeightsMatchesRun(t *testing.T) {
-	mk := func() []Client {
-		return []Client{constClient{[]float64{1, 3}}, constClient{[]float64{3, 7}}}
-	}
-	a := []float64{0, 0}
-	if err := Run(a, mk(), 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{0, 0}
-	if err := RunWeighted(b, mk(), []float64{5, 5}, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("equal-weight result differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestRunWeightedValidation(t *testing.T) {
-	clients := []Client{constClient{[]float64{1}}}
-	two := []Client{constClient{[]float64{1}}, constClient{[]float64{2}}}
-	cases := []struct {
-		name    string
-		weights []float64
-		clients []Client
-		rounds  int
-	}{
-		{"no clients", []float64{1}, nil, 1},
-		{"zero rounds", []float64{1}, clients, 0},
-		{"weight count mismatch", []float64{1, 2}, clients, 1},
-		{"negative weight", []float64{-1}, clients, 1},
-		{"zero weights", []float64{0}, clients, 1},
-		// NaN slips past `w < 0` and `total <= 0` alike and would turn the
-		// global model into NaN in round 1.
-		{"NaN weight", []float64{math.NaN()}, clients, 1},
-		{"NaN among valid weights", []float64{1, math.NaN()}, two, 1},
-		{"+Inf weight", []float64{math.Inf(1)}, clients, 1},
-		{"-Inf weight", []float64{math.Inf(-1)}, clients, 1},
-		{"finite weights overflowing the total", []float64{math.MaxFloat64, math.MaxFloat64}, two, 1},
-	}
-	for _, c := range cases {
-		global := []float64{0}
-		if err := RunWeighted(global, c.clients, c.weights, c.rounds, nil); err == nil {
-			t.Errorf("%s: accepted (global now %v)", c.name, global)
-		}
-	}
-}
-
-func TestRunWeightedDominantClient(t *testing.T) {
-	// A weight of ~1 vs ~0 makes the global model track the heavy client.
-	global := []float64{0}
-	clients := []Client{addClient{10}, addClient{-10}}
-	if err := RunWeighted(global, clients, []float64{1, 1e-9}, 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if global[0] < 29.9 {
-		t.Fatalf("global = %v, want ~30 (dominated by the +10 client)", global[0])
 	}
 }
 

@@ -166,9 +166,6 @@ func TestRunWithConfigFailFastMatchesRun(t *testing.T) {
 		{"RunParallelCodec/dense", func(g []float64, c []Client) error {
 			return RunParallelCodec(g, c, 5, 1, DenseCodec(), nil)
 		}},
-		{"RunWeighted", func(g []float64, c []Client) error {
-			return RunWeighted(g, c, []float64{1, 2, 3, 4}, 5, nil)
-		}},
 		{"RunSampled/1", func(g []float64, c []Client) error {
 			return RunSampled(g, c, 1, 5, rand.New(rand.NewSource(1)), nil)
 		}},

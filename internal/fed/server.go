@@ -295,7 +295,7 @@ type roundStats struct {
 //
 // All scratch is cap-guarded: it grows to the high-water pool size once
 // and is reused every round after, so a steady-state round performs zero
-// allocations (BenchmarkServerRound gates this). The phase inputs (phase,
+// allocations (TestServerRoundAllocFree gates this). The phase inputs (phase,
 // bmsg, round, numParams, nshards) are written by the coordinating
 // goroutine strictly before Pool.Run and the slot outputs read strictly
 // after it; the pool's release/join edges order both.

@@ -413,42 +413,3 @@ func AverageParams(dst []float64, srcs ...[]float64) {
 		dst[i] = acc.Round() * inv
 	}
 }
-
-// WeightedAverageParams overwrites dst with the weights-proportional mean
-// of the parameter vectors — the original FedAvg formulation, which weights
-// each client by its local sample count (McMahan et al., Eq. 1). Weights
-// must be non-negative with a positive sum; the paper's §III-B instantiation
-// is the unweighted special case (AverageParams).
-func WeightedAverageParams(dst []float64, srcs [][]float64, weights []float64) {
-	if len(srcs) == 0 {
-		panic("nn: WeightedAverageParams requires at least one source")
-	}
-	if len(weights) != len(srcs) {
-		panic(fmt.Sprintf("nn: %d weights for %d sources", len(weights), len(srcs)))
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("nn: negative weight %v at %d", w, i))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("nn: weights sum to zero")
-	}
-	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic(fmt.Sprintf("nn: WeightedAverageParams length mismatch: %d vs %d", len(s), len(dst)))
-		}
-	}
-	// The rounded products are summed exactly, so this too is order- and
-	// grouping-invariant for a fixed weight assignment.
-	var acc Accum
-	for i := range dst {
-		acc.Reset()
-		for j, s := range srcs {
-			acc.Add(s[i] * weights[j])
-		}
-		dst[i] = acc.Round() / total
-	}
-}

@@ -344,47 +344,6 @@ func TestAverageParamsValidation(t *testing.T) {
 	}()
 }
 
-func TestWeightedAverageParams(t *testing.T) {
-	dst := make([]float64, 2)
-	WeightedAverageParams(dst, [][]float64{{1, 0}, {5, 8}}, []float64{3, 1})
-	if dst[0] != 2 || dst[1] != 2 {
-		t.Fatalf("weighted average %v, want [2 2]", dst)
-	}
-}
-
-func TestWeightedAverageEqualWeightsMatchesUnweighted(t *testing.T) {
-	srcs := [][]float64{{1, 3, -2}, {5, 1, 4}, {0, 2, 7}}
-	a := make([]float64, 3)
-	AverageParams(a, srcs...)
-	b := make([]float64, 3)
-	WeightedAverageParams(b, srcs, []float64{2, 2, 2})
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("equal weights differ at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestWeightedAverageParamsValidation(t *testing.T) {
-	cases := []func(){
-		func() { WeightedAverageParams(make([]float64, 1), nil, nil) },
-		func() { WeightedAverageParams(make([]float64, 1), [][]float64{{1}}, []float64{1, 2}) },
-		func() { WeightedAverageParams(make([]float64, 1), [][]float64{{1}}, []float64{-1}) },
-		func() { WeightedAverageParams(make([]float64, 1), [][]float64{{1}}, []float64{0}) },
-		func() { WeightedAverageParams(make([]float64, 1), [][]float64{{1, 2}}, []float64{1}) },
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // Property: averaging N copies of the same vector returns that vector.
 func TestAverageParamsIdempotentProperty(t *testing.T) {
 	f := func(raw []float64, nCopies uint8) bool {

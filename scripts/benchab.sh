@@ -46,11 +46,11 @@ for side in base head; do
   go tool nm "$dir/.bench_build/fedbench" > "$tmp/$side.nm" 2> /dev/null || : > "$tmp/$side.nm"
 done
 echo "==> device-path layout, base against head"
-printf '%-32s %8s %8s  %s\n' symbol base head 'mod 64'
+printf '%-38s %8s %8s  %s\n' symbol base head 'mod 64'
 for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Network).Forward' \
   'nn.(*Adam).Step' 'replay.(*Buffer).Add' 'replay.(*Buffer).SampleInto' 'sim.(*Device).Step' \
   'core.(*Controller).policyAt' 'core.(*Controller).Observe' 'core.(*Controller).Update' \
-  'workload.(*Stream).Next'; do
+  'workload.(*Stream).Next' 'experiment.(*NeuralDevice).TrainRound' 'experiment.(*NeuralDevice).step'; do
   b="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/base.nm")"
   h="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/head.nm")"
   if [ -z "$b" ] || [ -z "$h" ]; then
@@ -60,7 +60,7 @@ for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Netw
   else
     verdict="moved by $(( ((0x$h - 0x$b) % 64 + 64) % 64 ))"
   fi
-  printf '%-32s %8s %8s  %s\n' "$sym" "${b:--}" "${h:--}" "$verdict"
+  printf '%-38s %8s %8s  %s\n' "$sym" "${b:--}" "${h:--}" "$verdict"
 done
 
 for pair in 1 2 3 4 5 6 7; do
