@@ -76,8 +76,9 @@ determinism:
 	go test -run '$(DETERMINISM_TESTS)' -count=2 $(DETERMINISM_PKGS)
 
 # Extended fuzzing of the federation wire format, of the exact accumulator
-# against its full-width reference and of the float64-lead sum against the
-# plain accumulator vector (seed corpora always run as part of `make test`).
+# against its full-width reference, of the float64-lead sum against the
+# plain accumulator vector and of the single-sample forward pass against the
+# one-unit loop (seed corpora always run as part of `make test`).
 fuzz:
 	go test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzReadMessage -fuzztime=30s ./internal/fed/
@@ -87,3 +88,4 @@ fuzz:
 	go test -fuzz=FuzzRelayFrame -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzAccumMatchesReference -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
 	go test -fuzz=FuzzParamSumMatchesAccum -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
+	go test -fuzz=FuzzForwardMatchesReference -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/

@@ -529,7 +529,8 @@ func TestUpdateAllocationFree(t *testing.T) {
 
 // TestControlStepAllocationFree pins the other on-device cost of §IV-C: one
 // control decision — state build, inference, softmax sampling — allocates
-// nothing once the state vector exists.
+// nothing once the state vector exists, and neither does the deployed
+// greedy decision (state build, inference, argmax).
 func TestControlStepAllocationFree(t *testing.T) {
 	c := NewController(Defaults(15), rand.New(rand.NewSource(13)))
 	obs := sim.Observation{NormFreq: 0.6, PowerW: 0.5, IPC: 1.2, MissRate: 0.05, MPKI: 6}
@@ -539,6 +540,12 @@ func TestControlStepAllocationFree(t *testing.T) {
 		_ = c.SelectAction(state)
 	}); avg != 0 {
 		t.Errorf("StateVector+SelectAction allocates %.1f times per step, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		state = StateVector(obs, state)
+		_ = c.GreedyAction(state)
+	}); avg != 0 {
+		t.Errorf("StateVector+GreedyAction allocates %.1f times per step, want 0", avg)
 	}
 }
 

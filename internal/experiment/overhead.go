@@ -65,19 +65,29 @@ func RunOverheadWithClock(o Options, decisions int, now Clock) *OverheadResult {
 	}
 	ctrl := d.Ctrl
 	d.bootstrap()
-	// Warm the buffer so updates operate on realistic contents.
-	for i := 0; i < o.Core.BatchSize*2; i++ {
+	// Warm the buffer so updates operate on realistic contents, and keep
+	// the observations the warm-up decided on.
+	warm := make([]sim.Observation, o.Core.BatchSize*2)
+	for i := range warm {
+		warm[i] = d.lastObs
 		a, r := d.step()
 		ctrl.Observe(d.state, a, r)
 	}
 
 	// Decision latency: state build + inference + sampling only (the
-	// device step is simulated time, not controller overhead).
+	// device step is simulated time, not controller overhead). The loop
+	// cycles through the warm-up's observations: on one fixed state every
+	// data-dependent branch would predict perfectly, as it does on no
+	// deployed device.
 	state := d.state
+	k := 0
 	start := now()
 	for i := 0; i < decisions; i++ {
-		state = core.StateVector(d.lastObs, state)
+		state = core.StateVector(warm[k], state)
 		_ = ctrl.SelectAction(state)
+		if k++; k == len(warm) {
+			k = 0
+		}
 	}
 	decision := now().Sub(start) / time.Duration(decisions)
 

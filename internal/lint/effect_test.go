@@ -158,10 +158,12 @@ func TestEffectRealModuleClean(t *testing.T) {
 	}
 	// The policy update and the optimiser step inside it are roots of their
 	// own: the proof of Adam.Step must not depend on Update's interface call
-	// resolving to it.
+	// resolving to it. So is the single-sample inference every control
+	// interval starts with, the greedy decision's whole cost.
 	for _, want := range []string{
 		"(*fedpower/internal/core.Controller).Update",
 		"(*fedpower/internal/nn.Adam).Step",
+		"(*fedpower/internal/nn.Network).Forward",
 	} {
 		found := false
 		for _, r := range roots {

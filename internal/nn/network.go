@@ -169,6 +169,18 @@ func (n *Network) Clone() *Network {
 // the output activations. The returned slice is owned by the network and is
 // valid until the next Forward call; copy it if it must outlive that.
 // Intermediate activations are cached for a subsequent Backward call.
+//
+// Each layer is computed four units at a time by dot4: four independent
+// accumulators, each started at its unit's bias and fed strictly left to
+// right like dotAcc, so every pre-activation is the same float sequence as
+// the one-unit-at-a-time loop. A width that is not a multiple of four
+// recomputes its last four units (the same bits again); a width below four
+// runs the one-unit loop. The hidden ReLU is relu, branch-free.
+// TestForwardMatchesReference and FuzzForwardMatchesReference hold the
+// outputs and both caches bit-identical to that loop (a NaN's payload
+// aside, which the compiler's operand order decides on either side).
+//
+//fedlint:allocfree
 func (n *Network) Forward(x []float64) []float64 {
 	if len(x) != n.sizes[0] {
 		panic(fmt.Sprintf("nn: Forward input length %d, want %d", len(x), n.sizes[0]))
@@ -181,28 +193,58 @@ func (n *Network) Forward(x []float64) []float64 {
 		w := n.weights(l)
 		b := n.biases(l)
 		nin, nout := n.sizes[l], n.sizes[l+1]
-		for j := 0; j < nout; j++ {
-			sum := b[j]
-			row := w[j*nin : (j+1)*nin]
-			for i, v := range in {
-				sum += row[i] * v
+		if nout < 4 {
+			// Narrower than one block: the one-unit loop itself.
+			for j := range out {
+				sum := b[j]
+				row := w[j*nin : (j+1)*nin]
+				for i, v := range in {
+					sum += row[i] * v
+				}
+				out[j] = sum
 			}
-			out[j] = sum
+		} else {
+			for j := 0; j < nout; j += 4 {
+				j = min(j, nout-4) // a ragged last block recomputes units already done: the same bits again
+				out[j], out[j+1], out[j+2], out[j+3] = dot4(b[j], b[j+1], b[j+2], b[j+3], w[j*nin:(j+4)*nin], in)
+			}
 		}
 		act := n.acts[l+1]
 		if l == last {
 			copy(act, out) // linear output layer
 		} else {
 			for j, v := range out {
-				if v > 0 {
-					act[j] = v
-				} else {
-					act[j] = 0
-				}
+				act[j] = relu(v)
 			}
 		}
 	}
 	return n.acts[len(n.acts)-1]
+}
+
+// dot4 extends s0..s3 by the inner products of x with the four consecutive
+// rows of w (len(w) = 4·len(x)), each accumulator fed strictly left to right
+// as in dotAcc. The four chains are independent, so the loop runs at the
+// multiply-add throughput instead of one add's latency per element. A leaf,
+// so its loop keeps the accumulators, the row pointers and its index in
+// registers with nothing spilled (`go build -gcflags=fedpower/internal/nn=-S`).
+//
+//fedlint:allocfree
+func dot4(s0, s1, s2, s3 float64, w, x []float64) (float64, float64, float64, float64) {
+	n := len(x)
+	r0 := w[:n]
+	r1 := w[n : 2*n]
+	r1 = r1[:len(r0)] // bounds-check elimination
+	r2 := w[2*n : 3*n]
+	r2 = r2[:len(r0)]
+	r3 := w[3*n : 4*n]
+	r3 = r3[:len(r0)]
+	for i, v := range x {
+		s0 += r0[i] * v
+		s1 += r1[i] * v
+		s2 += r2[i] * v
+		s3 += r3[i] * v
+	}
+	return s0, s1, s2, s3
 }
 
 // ForwardAction is the bandit fast path of Forward: it runs the hidden

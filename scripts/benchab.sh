@@ -47,10 +47,11 @@ for side in base head; do
 done
 echo "==> device-path layout, base against head"
 printf '%-38s %8s %8s  %s\n' symbol base head 'mod 64'
-for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Network).Forward' \
+for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Network).Forward' 'nn.dot4' \
   'nn.(*Adam).Step' 'replay.(*Buffer).Add' 'replay.(*Buffer).SampleInto' 'sim.(*Device).Step' \
-  'core.(*Controller).policyAt' 'core.(*Controller).Observe' 'core.(*Controller).Update' \
-  'workload.(*Stream).Next' 'experiment.(*NeuralDevice).TrainRound' 'experiment.(*NeuralDevice).step'; do
+  'core.(*Controller).policyAt' 'core.(*Controller).GreedyAction' 'core.(*Controller).Observe' \
+  'core.(*Controller).Update' 'workload.(*Stream).Next' 'experiment.(*NeuralDevice).TrainRound' \
+  'experiment.(*NeuralDevice).step' 'experiment.(*neuralPolicy).Action'; do
   b="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/base.nm")"
   h="$(awk -v s="fedpower/internal/$sym" '$2 == "T" && $3 == s { print $1 }' "$tmp/head.nm")"
   if [ -z "$b" ] || [ -z "$h" ]; then

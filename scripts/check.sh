@@ -29,8 +29,11 @@
 #                        for bit, from raw (p, m, v, g) bit patterns,
 #                        nn.Accum against the full-width accumulator it
 #                        must equal limb for limb, from operation traces,
-#                        and nn.ParamSum against the plain Accum vector it
-#                        must equal mean bit for bit and wire byte for byte
+#                        nn.ParamSum against the plain Accum vector it
+#                        must equal mean bit for bit and wire byte for byte,
+#                        and Network.Forward against the one-unit loop it
+#                        must equal bit for bit in outputs and caches, from
+#                        fuzz-chosen widths and raw float64 bit patterns
 #   8. bench compile   — every `go test` benchmark body runs once
 #                        (-benchtime 1x), so a paper-artefact, ablation or
 #                        cost-model benchmark that no longer compiles or
@@ -88,8 +91,10 @@ echo "==> fuzz smoke (${FUZZ_SMOKE}s per target)"
 go test -run '^$' -fuzz 'FuzzReadMessage$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzRelayFrame$' -fuzztime "${FUZZ_SMOKE}s" ./internal/fed/
 go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" ./internal/nn/
-# Each input is a whole operation trace, so minimising a new one under the
-# default 60s budget would stall a short run; 200 tries is plenty.
+# Each input is a whole operation trace or a net's worth of raw bit
+# patterns, so minimising a new one under the default 60s budget would
+# stall a short run; 200 tries is plenty.
+go test -run '^$' -fuzz 'FuzzForwardMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 go test -run '^$' -fuzz 'FuzzAccumMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 go test -run '^$' -fuzz 'FuzzParamSumMatchesAccum$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 
