@@ -268,18 +268,10 @@ func (c *Controller) SelectAction(state []float64) int {
 	return len(probs) - 1 // guard against floating-point shortfall
 }
 
-// GreedyAction returns argmax_a μ(s, a, θ): the pure exploitation choice
-// used during evaluation, when "the agents consistently exploit the action
-// with the highest predicted reward" (§IV-A).
+// GreedyAction returns argmax_a μ(s, a, θ) for the live network: Greedy
+// over Predict's outputs, the choice ε-greedy exploration exploits with.
 func (c *Controller) GreedyAction(state []float64) int {
-	mu := c.net.Forward(state)
-	best := 0
-	for a := 1; a < len(mu); a++ {
-		if mu[a] > mu[best] {
-			best = a
-		}
-	}
-	return best
+	return Greedy(c.net.Forward(state))
 }
 
 // Observe records one interaction (s_t, a_t, r_t) in the replay buffer,

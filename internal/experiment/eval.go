@@ -1,10 +1,9 @@
 package experiment
 
 import (
-	"math/rand"
-
 	"fedpower/internal/baseline"
 	"fedpower/internal/core"
+	"fedpower/internal/nn"
 	"fedpower/internal/sim"
 	"fedpower/internal/stats"
 	"fedpower/internal/workload"
@@ -18,25 +17,26 @@ type Policy interface {
 	Action(obs sim.Observation) int
 }
 
-// neuralPolicy evaluates a parameter snapshot of the neural controller.
+// neuralPolicy evaluates a parameter snapshot of the neural controller on
+// the bare policy network: no replay buffer, optimiser or random source.
 type neuralPolicy struct {
-	ctrl  *core.Controller
+	net   *nn.Network
 	state []float64
 }
 
-// NewNeuralPolicy wraps a model-parameter snapshot in a greedy evaluation
-// policy.
+// NewNeuralPolicy wraps a copy of a model-parameter snapshot in a greedy
+// evaluation policy. It panics on invalid parameters, as NewController
+// does, and on a model that does not fit them.
 func NewNeuralPolicy(p core.Params, model []float64) Policy {
-	// The controller's own randomness is unused in greedy mode; weight
-	// initialisation is immediately overwritten by the snapshot.
-	ctrl := core.NewController(p, rand.New(rand.NewSource(0)))
-	ctrl.SetModelParams(model)
-	return &neuralPolicy{ctrl: ctrl}
+	if err := p.Validate(); err != nil {
+		panic("experiment: evaluation policy: " + err.Error())
+	}
+	return &neuralPolicy{net: core.NewPolicyNetwork(p, model)}
 }
 
 func (p *neuralPolicy) Action(obs sim.Observation) int {
 	p.state = core.StateVector(obs, p.state)
-	return p.ctrl.GreedyAction(p.state)
+	return core.Greedy(p.net.Forward(p.state))
 }
 
 // tabularPolicy evaluates a Profit+CollabPolicy agent greedily.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fedpower/internal/core"
@@ -104,6 +105,32 @@ func TestNewNeuralPolicyUsesSnapshot(t *testing.T) {
 	want := ctrl.GreedyAction(core.StateVector(obs, nil))
 	if got := pol.Action(obs); got != want {
 		t.Fatalf("policy action %d, want controller greedy %d", got, want)
+	}
+}
+
+// TestGreedyEvaluationAllocBudget bounds what one greedy evaluation
+// allocates: NewNeuralPolicy plus one evaluate episode at smallOptions(),
+// averaged over 200 calls, stays within 32 KB. A Fig. 3 run makes 900 of
+// them, one per round per training unit, so a policy that builds a full
+// controller again (its replay ring alone is ~150 KB) fails here rather
+// than as garbage at the round barrier.
+func TestGreedyEvaluationAllocBudget(t *testing.T) {
+	const (
+		calls  = 200
+		budget = 32 << 10
+	)
+	o := smallOptions()
+	model := core.InitialModel(o.Core, rand.New(rand.NewSource(6)))
+	spec := mustSpec(t, "fft")
+	evaluate(o, NewNeuralPolicy(o.Core, model), spec, false, 61) // warm any lazy package state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < calls; k++ {
+		evaluate(o, NewNeuralPolicy(o.Core, model), spec, false, 61, int64(k))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > budget {
+		t.Errorf("NewNeuralPolicy + one evaluate episode allocates %d B, budget %d B", per, budget)
 	}
 }
 

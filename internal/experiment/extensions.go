@@ -173,12 +173,11 @@ func RunHeterogeneous(o Options, budgets []float64) (*HeteroResult, error) {
 			p.Reward.PCritW = b
 			clients[i] = newNeuralDeviceWithParams(o, baseID+int64(i), workload.SPLASH2(), p)
 		}
-		global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, baseID)).ModelParams()
-		globalCopy := append([]float64(nil), global...)
-		if err := fed.RunParallel(globalCopy, clients, o.Rounds, o.workers(), nil); err != nil {
+		global := core.InitialModel(o.Core, newRNG(o.Seed, idFedInit, baseID))
+		if err := fed.RunParallel(global, clients, o.Rounds, o.workers(), nil); err != nil {
 			return nil, err
 		}
-		return globalCopy, nil
+		return global, nil
 	}
 
 	heteroModel, err := train(budgets, 3000)

@@ -183,9 +183,8 @@ func RunMultiCore(o Options) (*MultiCoreResult, error) {
 	for i, specs := range deviceSpecs {
 		clients[i] = newClusterDevice(o, int64(5000+i), cores, specs)
 	}
-	global := core.NewController(multiCoreParams(o), newRNG(o.Seed, idFedInit, 5000)).ModelParams()
-	globalCopy := append([]float64(nil), global...)
-	err := fed.RunParallel(globalCopy, clients, o.Rounds, o.workers(), func(round int, g []float64) {
+	global := core.InitialModel(multiCoreParams(o), newRNG(o.Seed, idFedInit, 5000))
+	err := fed.RunParallel(global, clients, o.Rounds, o.workers(), func(round int, g []float64) {
 		result.Fed = append(result.Fed, evalCluster(o, g, cores, round, 5100, int64(round)))
 	})
 	if err != nil {

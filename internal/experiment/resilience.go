@@ -205,7 +205,7 @@ func RunResilience(o ResilienceOptions) (*ResilienceResult, error) {
 		_ = srv.Close()
 	}()
 
-	initial := core.NewController(o.Options.Core, newRNG(o.Options.Seed, idResilienceInit)).ModelParams()
+	initial := core.InitialModel(o.Options.Core, newRNG(o.Options.Seed, idResilienceInit))
 	res := &ResilienceResult{Clients: make([]ClientOutcome, numDevices)}
 	lastGlobal := append([]float64(nil), initial...)
 	_, serveErr := srv.Serve(initial, func(round int, g []float64) {

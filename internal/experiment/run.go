@@ -131,8 +131,8 @@ const (
 
 // newFederation builds a scenario's federated arm: one training client per
 // device — device i drawing from seed stream deviceBase+i — and the initial
-// global model, taken from a throwaway controller seeded by the
-// (idFedInit, initID) stream. The caller owns the returned model.
+// global model, drawn from the (idFedInit, initID) stream as a controller's
+// initial weights. The caller owns the returned model.
 func newFederation(o Options, sc Scenario, deviceBase, initID int64) ([]fed.Client, []float64, error) {
 	clients := make([]fed.Client, len(sc.Devices))
 	for i, names := range sc.Devices {
@@ -142,8 +142,7 @@ func newFederation(o Options, sc Scenario, deviceBase, initID int64) ([]fed.Clie
 		}
 		clients[i] = NewNeuralDevice(o, deviceBase+int64(i), specs)
 	}
-	global := core.NewController(o.Core, newRNG(o.Seed, idFedInit, initID)).ModelParams()
-	return clients, append([]float64(nil), global...), nil
+	return clients, core.InitialModel(o.Core, newRNG(o.Seed, idFedInit, initID)), nil
 }
 
 // RunScenario trains and evaluates one Table II scenario in both regimes:
@@ -169,8 +168,19 @@ func RunScenario(o Options, scIndex int, sc Scenario) (*ScenarioResult, error) {
 		return nil, err
 	}
 	evalSet := EvalApps()
-	evalSpec := func(round int) workload.Spec {
-		return evalSet[(round-1)%len(evalSet)]
+	// evalRound evaluates the snapshot g greedily after round, on the
+	// round's app in rotation; setting 0 is the federated arm and i+1
+	// device i's local-only arm.
+	evalRound := func(setting int64, round int, g []float64) RoundEval {
+		spec := evalSet[(round-1)%len(evalSet)]
+		res := evaluate(o, NewNeuralPolicy(o.Core, g), spec, false, idEval, int64(scIndex), setting, int64(round))
+		return RoundEval{
+			Round:        round,
+			App:          spec.Name,
+			Reward:       res.AvgReward,
+			MeanNormFreq: res.MeanNormFreq,
+			StdNormFreq:  res.StdNormFreq,
+		}
 	}
 
 	result := &ScenarioResult{Scenario: sc, Local: make([][]RoundEval, len(sc.Devices))}
@@ -182,16 +192,7 @@ func RunScenario(o Options, scIndex int, sc Scenario) (*ScenarioResult, error) {
 			return err
 		}
 		err = fed.RunParallel(global, fedClients, o.Rounds, o.workers(), func(round int, g []float64) {
-			spec := evalSpec(round)
-			pol := NewNeuralPolicy(o.Core, g)
-			res := evaluate(o, pol, spec, false, idEval, int64(scIndex), 0, int64(round))
-			result.Fed = append(result.Fed, RoundEval{
-				Round:        round,
-				App:          spec.Name,
-				Reward:       res.AvgReward,
-				MeanNormFreq: res.MeanNormFreq,
-				StdNormFreq:  res.StdNormFreq,
-			})
+			result.Fed = append(result.Fed, evalRound(0, round, g))
 		})
 		if err != nil {
 			return fmt.Errorf("experiment: federated training scenario %s: %w", sc.Name, err)
@@ -206,19 +207,9 @@ func RunScenario(o Options, scIndex int, sc Scenario) (*ScenarioResult, error) {
 			return err
 		}
 		dev := NewNeuralDevice(o, int64(idLocalDevice+devIdx+10*scIndex), specs)
-		local := core.NewController(o.Core, newRNG(o.Seed, idLocalInit, int64(scIndex), int64(devIdx))).ModelParams()
-		localCopy := append([]float64(nil), local...)
-		err = fed.Run(localCopy, []fed.Client{dev}, o.Rounds, func(round int, g []float64) {
-			spec := evalSpec(round)
-			pol := NewNeuralPolicy(o.Core, g)
-			res := evaluate(o, pol, spec, false, idEval, int64(scIndex), int64(devIdx+1), int64(round))
-			result.Local[devIdx] = append(result.Local[devIdx], RoundEval{
-				Round:        round,
-				App:          spec.Name,
-				Reward:       res.AvgReward,
-				MeanNormFreq: res.MeanNormFreq,
-				StdNormFreq:  res.StdNormFreq,
-			})
+		local := core.InitialModel(o.Core, newRNG(o.Seed, idLocalInit, int64(scIndex), int64(devIdx)))
+		err = fed.Run(local, []fed.Client{dev}, o.Rounds, func(round int, g []float64) {
+			result.Local[devIdx] = append(result.Local[devIdx], evalRound(int64(devIdx+1), round, g))
 		})
 		if err != nil {
 			return fmt.Errorf("experiment: local training scenario %s device %d: %w", sc.Name, devIdx, err)

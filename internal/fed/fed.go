@@ -16,8 +16,8 @@
 //     them is data on the engine value — the cohort (everyone, or a seeded
 //     per-round draw expressed as a per-client sit-out mask), the failure
 //     policy and quorum, the per-client codec link, and the aggregation
-//     rule (nn.AverageParams, or a topology's exact subtree sums rounded
-//     once at the root). Every failure it
+//     rule (the flat mean through one nn.ParamSum per run, or a topology's
+//     exact subtree sums rounded once at the root). Every failure it
 //     returns is a *RoundError naming round, phase and client. It is
 //     deterministic at any width and is what the experiment harness uses.
 //   - Socket transport: Server.round over a session (server.go), shared
@@ -149,9 +149,9 @@ func (f ClientFunc) TrainRound(round int, global []float64) ([]float64, error) {
 type RoundHook func(round int, global []float64)
 
 // engine is the in-process round loop's per-run data: everything the
-// exported Run* entry points differ in. aggregate is required; the zero
-// value of every other field is the paper's setting — every client every
-// round, sequential, raw float64 exchange, abort on the first failure.
+// exported Run* entry points differ in. The zero value of every field but
+// rounds is the paper's setting — every client every round, sequential,
+// raw float64 exchange, abort on the first failure, the flat mean.
 type engine struct {
 	rounds int
 	width  int // clients training concurrently within a round; <= 1 is sequential
@@ -165,16 +165,10 @@ type engine struct {
 	// aborting the run; the round then commits iff quorum updates survived.
 	dropRound bool
 	quorum    int
-	// aggregate overwrites dst (the global model) with the round's
-	// surviving updates, given in client order, folded by the run's rule.
+	// aggregate, when non-nil, replaces the paper's flat mean: it
+	// overwrites dst (the global model) with the round's surviving updates,
+	// given in client order, folded by the run's rule.
 	aggregate func(dst []float64, locals [][]float64) error
-}
-
-// flatMean is the paper's aggregation rule: the unweighted mean, through
-// nn.AverageParams' single stack accumulator.
-func flatMean(dst []float64, locals [][]float64) error {
-	nn.AverageParams(dst, locals...)
-	return nil
 }
 
 // run executes Algorithm 2 over function-call links, starting from (and
@@ -206,6 +200,12 @@ func (e engine) run(global []float64, clients []Client) error {
 	sitOut := make([]bool, len(clients))
 	dropped := make([]error, len(clients))
 	locals := make([][]float64, 0, len(clients))
+	// The flat mean's exact sum: one per run, reset every round (it holds
+	// an Accum per parameter), and never touched by the fan-out's task.
+	var sum *nn.ParamSum
+	if e.aggregate == nil {
+		sum = nn.NewParamSum(len(global))
+	}
 	dropRound := e.dropRound // the task captures one bool, not a copy of e
 	for r := 1; r <= e.rounds; r++ {
 		copy(broadcast, global)
@@ -273,7 +273,9 @@ func (e engine) run(global []float64, clients []Client) error {
 				Err: fmt.Errorf("%d of %d clients delivered, quorum %d: %w",
 					len(locals), len(clients), e.quorum, firstErr)}
 		}
-		if err := e.aggregate(global, locals); err != nil {
+		if sum != nil {
+			flatMean(sum, global, locals)
+		} else if err := e.aggregate(global, locals); err != nil {
 			return &RoundError{Round: r, Phase: PhaseCollect, Client: -1, Err: err}
 		}
 		if e.hook != nil {
@@ -281,6 +283,16 @@ func (e engine) run(global []float64, clients []Client) error {
 		}
 	}
 	return nil
+}
+
+// flatMean is the paper's aggregation rule: it overwrites dst with the
+// unweighted mean of locals, summed exactly in sum and rounded once.
+func flatMean(sum *nn.ParamSum, dst []float64, locals [][]float64) {
+	sum.Reset()
+	for _, l := range locals {
+		sum.Add(l)
+	}
+	sum.Mean(dst, len(locals))
 }
 
 // drawCohort marks who sits the next round out: every client joins
@@ -353,7 +365,7 @@ func RunParallel(global []float64, clients []Client, rounds, width int, hook Rou
 // is bit-identical to the TCP federation under the same codec at any width.
 // The zero Codec disables emulation, making this identical to RunParallel.
 func RunParallelCodec(global []float64, clients []Client, rounds, width int, codec Codec, hook RoundHook) error {
-	return engine{rounds: rounds, width: width, codec: codec, hook: hook, aggregate: flatMean}.run(global, clients)
+	return engine{rounds: rounds, width: width, codec: codec, hook: hook}.run(global, clients)
 }
 
 // RunSampled executes federated averaging with partial participation: each
@@ -370,7 +382,7 @@ func RunSampled(global []float64, clients []Client, fraction float64, rounds int
 	if rng == nil {
 		return fmt.Errorf("fed: RunSampled requires a random source")
 	}
-	return engine{rounds: rounds, hook: hook, rng: rng, fraction: fraction, aggregate: flatMean}.run(global, clients)
+	return engine{rounds: rounds, hook: hook, rng: rng, fraction: fraction}.run(global, clients)
 }
 
 // ClientErrorPolicy decides what RunWithConfig does when a client's
@@ -429,5 +441,5 @@ func RunWithConfig(global []float64, clients []Client, cfg RunConfig) error {
 		quorum = len(clients)
 	}
 	return engine{rounds: cfg.Rounds, width: cfg.Parallelism, codec: cfg.Codec, hook: cfg.Hook,
-		dropRound: cfg.OnClientError == DropRound, quorum: quorum, aggregate: flatMean}.run(global, clients)
+		dropRound: cfg.OnClientError == DropRound, quorum: quorum}.run(global, clients)
 }

@@ -32,8 +32,16 @@ import (
 //   - the exact-zero skips (zeroGrad) are evaluated on the same values
 //     with the same predicate as the scalar path.
 //
-// TestForwardBackwardBatchBitIdentical pins the contract across random
-// nets, widths (including zero hidden layers) and batch sizes, and the
+// Bit-identical means the same bits, zeros' signs included, except for
+// which NaN payload survives where two NaNs meet: that is the compiler's
+// operand order for a commutative operation, which differs between
+// dotAcc's unrolled body and the scalar loop, so a NaN input may come out
+// as a different NaN on the two paths.
+//
+// TestForwardBackwardBatchBitIdentical pins the contract — bits compared,
+// NaNs by class — across random nets, widths (including zero hidden
+// layers) and batch sizes, with zero parameters, zero loss gradients and
+// gradient-buffer cells of either sign and NaN/±Inf states, and the
 // allocfree effect analyzer (internal/lint) proves the kernels below never
 // allocate outside the capacity-guarded scratch growth.
 

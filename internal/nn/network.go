@@ -61,8 +61,27 @@ type Network struct {
 // policy network: 5 state features, one hidden layer of 32 neurons, and one
 // output per V/f level.
 func New(rng *rand.Rand, sizes ...int) *Network {
+	n := shaped(sizes)
+	n.heInit(rng)
+	return n
+}
+
+// FromParams builds a network with the given layer sizes that holds a copy
+// of params, which must have exactly the sizes' parameter count. It draws
+// nothing: a network that only ever runs a fixed snapshot, as a greedy
+// evaluation policy does, needs no initialisation and no source of
+// randomness.
+func FromParams(params []float64, sizes ...int) *Network {
+	n := shaped(sizes)
+	n.SetParams(params)
+	return n
+}
+
+// shaped allocates a network of the given layer sizes with every parameter
+// zero: the flat parameter vector, its per-layer offsets and the caches.
+func shaped(sizes []int) *Network {
 	if len(sizes) < 2 {
-		panic("nn: New requires at least an input and an output size")
+		panic("nn: a network requires at least an input and an output size")
 	}
 	for _, s := range sizes {
 		if s <= 0 {
@@ -79,7 +98,6 @@ func New(rng *rand.Rand, sizes ...int) *Network {
 	}
 	n.params = make([]float64, total)
 	n.initScratch()
-	n.heInit(rng)
 	return n
 }
 
@@ -154,16 +172,7 @@ func (n *Network) SetParams(p []float64) {
 
 // Clone returns a deep copy of the network, including parameters but not the
 // transient activation caches.
-func (n *Network) Clone() *Network {
-	c := &Network{
-		sizes:  append([]int(nil), n.sizes...),
-		params: append([]float64(nil), n.params...),
-		wOff:   append([]int(nil), n.wOff...),
-		bOff:   append([]int(nil), n.bOff...),
-	}
-	c.initScratch()
-	return c
-}
+func (n *Network) Clone() *Network { return FromParams(n.params, n.sizes...) }
 
 // Forward runs inference on x (length must equal the input size) and returns
 // the output activations. The returned slice is owned by the network and is
