@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the same gate CI runs.
 
-.PHONY: check build vet lint lint-sarif bench bench-lint test race determinism fuzz
+.PHONY: check build vet lint lint-sarif bench bench-lint test race determinism portable fuzz
 
 check:
 	./scripts/check.sh
@@ -75,10 +75,22 @@ DETERMINISM_PKGS  := ./internal/fed/... ./internal/experiment/... ./internal/nn/
 determinism:
 	go test -run '$(DETERMINISM_TESTS)' -count=2 $(DETERMINISM_PKGS)
 
+# The portable kernels on an amd64 host. On amd64 the batched update runs
+# SSE2 assembly (internal/nn/kernels_amd64.s); GOARCH=386 builds the same
+# packages with the Go kernels every other GOARCH runs (kernels.go), and
+# the host executes them natively. 386 does not fuse multiply-adds, so
+# this holds the generic code to the goldens the amd64 build pins. It runs
+# where the host can execute 386 binaries (linux/amd64). Whether arm64's
+# fused multiply-adds keep the bits is a separate question: ROADMAP 2(a).
+portable:
+	GOARCH=386 go test ./internal/nn ./internal/core
+	GOARCH=386 go test -run 'BatchBitIdentical|AgedControllerBitIdentical' .
+
 # Extended fuzzing of the federation wire format, of the exact accumulator
 # against its full-width reference, of the float64-lead sum against the
-# plain accumulator vector and of the single-sample forward pass against the
-# one-unit loop (seed corpora always run as part of `make test`).
+# plain accumulator vector, of the single-sample forward pass against the
+# one-unit loop and of the batched update against the portable kernels
+# (seed corpora always run as part of `make test`).
 fuzz:
 	go test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/fed/
 	go test -fuzz=FuzzReadMessage -fuzztime=30s ./internal/fed/
@@ -89,3 +101,4 @@ fuzz:
 	go test -fuzz=FuzzAccumMatchesReference -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
 	go test -fuzz=FuzzParamSumMatchesAccum -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
 	go test -fuzz=FuzzForwardMatchesReference -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/
+	go test -fuzz=FuzzBatchKernelsMatchGeneric -fuzztime=30s -fuzzminimizetime=200x ./internal/nn/

@@ -26,7 +26,11 @@ import (
 // guarded-error patterns — allocate only when capacity is exhausted or
 // input is malformed). Foreign (out-of-module) callees other than
 // fmt/log are assumed allocation-free; the AllocFree tests beside each
-// annotated root remain the dynamic backstop for those.
+// annotated root remain the dynamic backstop for those. An in-module
+// function declared without a Go body (assembly) cannot be scanned, so
+// reaching one is a finding unless its own declaration carries
+// //fedlint:allocfree: an explicit claim, checked by reading the
+// assembly beside it and then trusted like a foreign callee.
 //
 // Each finding carries the full call-chain path from the annotated root
 // to the allocating expression, one position per hop, mirroring
@@ -48,7 +52,7 @@ func (a AllocFree) Check(pkg *Package) []Diagnostic {
 
 // CheckModule runs the reachability proof from every annotated root.
 func (a AllocFree) CheckModule(mod *Module) []Diagnostic {
-	roots, dangling := collectAllocFreeRoots(mod)
+	roots, asserted, dangling := collectAllocFreeRoots(mod)
 	var out []Diagnostic
 	for _, pos := range dangling {
 		out = append(out, Diagnostic{
@@ -78,6 +82,19 @@ func (a AllocFree) CheckModule(mod *Module) []Diagnostic {
 	reported := make(map[string]bool)
 	for _, root := range roots {
 		pred := map[*types.Func]step{root.fn: {}}
+		// path is the call chain from the root to fn, then last.
+		path := func(fn *types.Func, last Hop) []Hop {
+			var hops []Hop
+			for cur := fn; cur != root.fn; {
+				st := pred[cur]
+				hops = append(hops, Hop{Pos: st.edge.pos, Note: st.edge.note})
+				cur = st.caller
+			}
+			for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
+				hops[i], hops[j] = hops[j], hops[i]
+			}
+			return append(hops, last)
+		}
 		queue := []*types.Func{root.fn}
 		for len(queue) > 0 {
 			fn := queue[0]
@@ -89,16 +106,7 @@ func (a AllocFree) CheckModule(mod *Module) []Diagnostic {
 					continue
 				}
 				reported[key] = true
-				var hops []Hop
-				for cur := fn; cur != root.fn; {
-					st := pred[cur]
-					hops = append(hops, Hop{Pos: st.edge.pos, Note: st.edge.note})
-					cur = st.caller
-				}
-				for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-					hops[i], hops[j] = hops[j], hops[i]
-				}
-				hops = append(hops, Hop{Pos: s.pos, Note: s.what})
+				hops := path(fn, Hop{Pos: s.pos, Note: s.what})
 				out = append(out, Diagnostic{
 					Analyzer: "allocfree",
 					Pos:      s.pos,
@@ -112,6 +120,23 @@ func (a AllocFree) CheckModule(mod *Module) []Diagnostic {
 					continue
 				}
 				if mod.Body(c.callee) == nil {
+					// Declared here without a Go body: assembly, which
+					// no scan can read. Its own //fedlint:allocfree is
+					// the explicit claim the proof rests on; without
+					// one the call is a hole in the proof.
+					key := c.pos.String()
+					if asserted[c.callee] || reported[key] {
+						continue
+					}
+					reported[key] = true
+					hops := path(fn, Hop{Pos: c.pos, Note: c.note + ", declared without a Go body"})
+					out = append(out, Diagnostic{
+						Analyzer: "allocfree",
+						Pos:      c.pos,
+						Message: fmt.Sprintf("%s has no Go body to prove allocation-free and is reachable from //fedlint:allocfree root %s; assert it with //fedlint:allocfree on its declaration (%d-hop path below)",
+							c.callee.FullName(), root.fn.FullName(), len(hops)),
+						Path: hops,
+					})
 					continue
 				}
 				pred[c.callee] = step{caller: fn, edge: c}

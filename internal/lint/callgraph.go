@@ -19,6 +19,10 @@ type Module struct {
 	funcs map[*types.Func]*FuncBody
 	impls map[*types.Func][]*types.Func
 
+	// bodyless holds the in-module functions declared without a Go body:
+	// their code is assembly (or linked in), so no analysis can read it.
+	bodyless map[*types.Func]bool
+
 	signalMemo map[*types.Func]bool
 }
 
@@ -36,16 +40,22 @@ func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:       pkgs,
 		funcs:      make(map[*types.Func]*FuncBody),
+		bodyless:   make(map[*types.Func]bool),
 		signalMemo: make(map[*types.Func]bool),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				switch {
+				case !ok:
+				case fd.Body == nil:
+					m.bodyless[fn] = true
+				default:
 					m.funcs[fn] = &FuncBody{Decl: fd, Pkg: pkg}
 				}
 			}
@@ -56,8 +66,13 @@ func NewModule(pkgs []*Package) *Module {
 }
 
 // Body returns the declaration of an in-module function, or nil for
-// functions without source here (standard library, interface methods).
+// functions without source here (standard library, interface methods,
+// assembly).
 func (m *Module) Body(fn *types.Func) *FuncBody { return m.funcs[fn] }
+
+// Bodyless reports whether fn is an in-module function declared without a
+// Go body — one implemented in assembly.
+func (m *Module) Bodyless(fn *types.Func) bool { return m.bodyless[fn] }
 
 // Funcs returns every in-module declared function in deterministic
 // (position) order.

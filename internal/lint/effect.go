@@ -40,11 +40,14 @@ type allocRoot struct {
 
 // collectAllocFreeRoots scans every file for //fedlint:allocfree
 // directives. A directive inside a function declaration's doc comment
-// annotates that function; any other placement (detached comment, comment
-// inside a body, doc of a type) cannot be resolved to a function and is
-// returned as dangling — silently dropping it would leave the author
-// believing a proof exists that was never run.
-func collectAllocFreeRoots(mod *Module) (roots []allocRoot, dangling []token.Position) {
+// annotates that function: a root of the proof if it has a Go body, an
+// assertion the proof takes on trust if it has none (assembly). Any other
+// placement (detached comment, comment inside a body, doc of a type)
+// cannot be resolved to a function and is returned as dangling — silently
+// dropping it would leave the author believing a proof exists that was
+// never run.
+func collectAllocFreeRoots(mod *Module) (roots []allocRoot, asserted map[*types.Func]bool, dangling []token.Position) {
+	asserted = make(map[*types.Func]bool)
 	for _, pkg := range mod.Pkgs {
 		for _, file := range pkg.Files {
 			claimed := make(map[*ast.Comment]bool)
@@ -58,9 +61,13 @@ func collectAllocFreeRoots(mod *Module) (roots []allocRoot, dangling []token.Pos
 						continue
 					}
 					claimed[c] = true
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && fd.Body != nil {
+					fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+					switch {
+					case ok && fd.Body != nil:
 						roots = append(roots, allocRoot{fn: fn, pos: pkg.Fset.Position(c.Pos())})
-					} else {
+					case ok:
+						asserted[fn] = true
+					default:
 						dangling = append(dangling, pkg.Fset.Position(c.Pos()))
 					}
 				}
@@ -75,7 +82,7 @@ func collectAllocFreeRoots(mod *Module) (roots []allocRoot, dangling []token.Pos
 		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].fn.Pos() < roots[j].fn.Pos() })
-	return roots, dangling
+	return roots, asserted, dangling
 }
 
 // allocSite is one heap-allocating construct found in a function body.
@@ -307,7 +314,7 @@ func scanCall(mod *Module, fb *FuncBody, call *ast.CallExpr, stack []ast.Node,
 				note: "calls " + impl.FullName() + " (via interface " + callee.Name() + ")",
 			})
 		}
-	case mod.Body(callee) != nil:
+	case mod.Body(callee) != nil || mod.Bodyless(callee):
 		facts.calls = append(facts.calls, allocCall{
 			callee: callee, pos: pos, note: "calls " + callee.FullName(),
 		})

@@ -149,7 +149,7 @@ func TestEffectRealModuleClean(t *testing.T) {
 
 	// The theorem must not be vacuous: the hot-path roots and the fan-out
 	// point must resolve.
-	roots, dangling := collectAllocFreeRoots(mod)
+	roots, _, dangling := collectAllocFreeRoots(mod)
 	if len(roots) < 9 {
 		t.Errorf("only %d //fedlint:allocfree roots found, want the 9 annotated hot paths", len(roots))
 	}
@@ -184,5 +184,41 @@ func TestEffectRealModuleClean(t *testing.T) {
 		for _, d := range ma.CheckModule(mod) {
 			t.Errorf("real module not clean under %s:\n%s", a.Name(), d)
 		}
+	}
+}
+
+// TestAllocFreeBodylessFixture: over the asmmod fixture, allocfree reports
+// each call from an //fedlint:allocfree root to an in-module function
+// declared without a Go body that does not assert //fedlint:allocfree
+// itself — directly and two calls down, each with its call chain — and
+// stays silent on the asserted kernel, the foreign callee and the
+// unreached declaration. The annotated body-less declaration is an
+// assertion, not a dangling directive.
+func TestAllocFreeBodylessFixture(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "asmmod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("load fixture module: %v", err)
+	}
+	var got []string
+	for _, d := range Run(pkgs, []Analyzer{AllocFree{}}) {
+		rel := strings.ReplaceAll(d.String(), root+string(filepath.Separator), "")
+		got = append(got, rel)
+		if d.Analyzer != "allocfree" || !strings.Contains(d.Message, "has no Go body") {
+			t.Errorf("unexpected finding: %s", rel)
+		}
+	}
+	want := []string{
+		"kernel/kernel.go:16:8: allocfree: asmmod/kernel.addAsm has no Go body to prove allocation-free and is reachable from //fedlint:allocfree root asmmod/kernel.Scale; assert it with //fedlint:allocfree on its declaration (1-hop path below)\n" +
+			"    [1] kernel/kernel.go:16:8: calls asmmod/kernel.addAsm, declared without a Go body",
+		"kernel/kernel.go:21:8: allocfree: asmmod/kernel.mulAsm has no Go body to prove allocation-free and is reachable from //fedlint:allocfree root asmmod/kernel.Scale; assert it with //fedlint:allocfree on its declaration (2-hop path below)\n" +
+			"    [1] kernel/kernel.go:17:8: calls asmmod/kernel.helper\n" +
+			"    [2] kernel/kernel.go:21:8: calls asmmod/kernel.mulAsm, declared without a Go body",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -199,6 +200,14 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") ||
 			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			continue
+		}
+		// Only the files the build would compile for this GOOS/GOARCH:
+		// a kernel_amd64.go and its !amd64 counterpart declare the same
+		// names, and the amd64 one is the declaration of assembly.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, n), err)
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

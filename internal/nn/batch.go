@@ -32,6 +32,13 @@ import (
 //   - the exact-zero skips (zeroGrad) are evaluated on the same values
 //     with the same predicate as the scalar path.
 //
+// The three loops that carry most of an update — the hidden-layer
+// forward, the delta seeding below the output layer and the hidden-layer
+// gradient — are the kernels of kernels.go. On amd64 they run as SSE2
+// assembly that computes the same bits (kernels_amd64.go says why); there
+// a skip is a select of −0, which leaves the accumulator exactly as
+// skipping it does.
+//
 // Bit-identical means the same bits, zeros' signs included, except for
 // which NaN payload survives where two NaNs meet: that is the compiler's
 // operand order for a commutative operation, which differs between
@@ -41,15 +48,12 @@ import (
 // TestForwardBackwardBatchBitIdentical pins the contract — bits compared,
 // NaNs by class — across random nets, widths (including zero hidden
 // layers) and batch sizes, with zero parameters, zero loss gradients and
-// gradient-buffer cells of either sign and NaN/±Inf states, and the
-// allocfree effect analyzer (internal/lint) proves the kernels below never
-// allocate outside the capacity-guarded scratch growth.
-
-// batchBlock is the sample-block width of the cache-blocked hidden-layer
-// forward pass: a block's activation and pre-activation rows
-// (2 × 32 samples × width × 8 B ≈ 16 kB at the paper's width 32) stay
-// L1-resident while the layer's weight rows stream over them once each.
-const batchBlock = 32
+// gradient-buffer cells of either sign and NaN/±Inf states;
+// TestBatchKernelsMatchGeneric and FuzzBatchKernelsMatchGeneric hold the
+// assembly to the portable kernels the same way. The allocfree effect
+// analyzer (internal/lint) proves the kernels below never allocate outside
+// the capacity-guarded scratch growth, and takes the assembly's own
+// //fedlint:allocfree declarations on trust.
 
 // ensureBatch sizes the batch scratch matrices for the given row count.
 // Growth is capacity-guarded so a steady-state training loop — fixed batch
@@ -59,6 +63,7 @@ func (n *Network) ensureBatch(batch int) {
 		n.bacts = make([][]float64, len(n.sizes))
 		n.bpre = make([][]float64, len(n.sizes)-1)
 		n.bdelta = make([][]float64, len(n.sizes))
+		n.bdelta[0] = make([]float64, len(n.params)) // the transpose scratch (Network)
 	}
 	for l, s := range n.sizes {
 		need := batch * s
@@ -159,11 +164,10 @@ func axpy(a float64, x, y []float64) {
 }
 
 // ForwardBatch runs the bandit forward pass over the whole mini-batch
-// packed into the BatchStates matrix: the hidden layers as cache-blocked
-// matrix loops (weight rows outer, samples inner, so each row streams once
-// per batchBlock-sample block instead of once per sample), and — because
-// the bandit loss touches one output unit per sample — only the taken
-// action's output unit per row, written to outs[s].
+// packed into the BatchStates matrix: the hidden layers as matrix loops
+// (forwardHidden: SSE2 on amd64, kernels.go elsewhere), and — because the
+// bandit loss touches one output unit per sample — only the taken action's
+// output unit per row, written to outs[s].
 //
 // outs[s] is bit-identical to ForwardAction(states[s], actions[s]), and
 // the cached batch activations feed a subsequent BackwardBatch exactly as
@@ -187,67 +191,15 @@ func (n *Network) ForwardBatch(actions []int, outs []float64) {
 		}
 	}
 	for l := 0; l < last; l++ {
-		nin, nout := n.sizes[l], n.sizes[l+1]
-		in := n.bacts[l]
-		pre := n.bpre[l]
-		act := n.bacts[l+1]
-		w := n.weights(l)
-		b := n.biases(l)
-		for s0 := 0; s0 < batch; s0 += batchBlock {
-			s1 := s0 + batchBlock
-			if s1 > batch {
-				s1 = batch
-			}
-			for j := 0; j < nout; j++ {
-				row := w[j*nin : (j+1)*nin]
-				bj := b[j]
-				// Four samples per iteration against the register-resident
-				// weight row: four *independent* accumulators, each fed
-				// strictly left to right exactly like the scalar kernel's
-				// dot product, so the unroll adds instruction-level
-				// parallelism without touching any accumulation order.
-				// (Inlined by hand: Go does not inline functions containing
-				// loops, and at the paper's tiny input width a call per dot
-				// product costs more than the multiply-adds themselves.)
-				s := s0
-				for ; s+4 <= s1; s += 4 {
-					x0 := in[s*nin : (s+1)*nin]
-					x0 = x0[:len(row)] // bounds-check elimination
-					x1 := in[(s+1)*nin : (s+2)*nin]
-					x1 = x1[:len(x0)]
-					x2 := in[(s+2)*nin : (s+3)*nin]
-					x2 = x2[:len(x0)]
-					x3 := in[(s+3)*nin : (s+4)*nin]
-					x3 = x3[:len(x0)]
-					sum0, sum1, sum2, sum3 := bj, bj, bj, bj
-					for i, r := range row {
-						sum0 += r * x0[i]
-						sum1 += r * x1[i]
-						sum2 += r * x2[i]
-						sum3 += r * x3[i]
-					}
-					o := s*nout + j
-					pre[o] = sum0
-					act[o] = relu(sum0)
-					o += nout
-					pre[o] = sum1
-					act[o] = relu(sum1)
-					o += nout
-					pre[o] = sum2
-					act[o] = relu(sum2)
-					o += nout
-					pre[o] = sum3
-					act[o] = relu(sum3)
-				}
-				for ; s < s1; s++ {
-					sum := dotAcc(bj, row, in[s*nin:(s+1)*nin])
-					o := s*nout + j
-					pre[o] = sum
-					act[o] = relu(sum)
-				}
-			}
-		}
+		forwardHidden(n.sizes[l], n.weights(l), n.biases(l), n.bacts[l], n.bpre[l], n.bacts[l+1], n.bdelta[0])
 	}
+	n.forwardOutput(actions, outs)
+}
+
+// forwardOutput is ForwardBatch's output layer, on checked arguments.
+func (n *Network) forwardOutput(actions []int, outs []float64) {
+	batch := len(actions)
+	last := len(n.sizes) - 2
 	in := n.bacts[last]
 	nin := n.sizes[last]
 	w := n.weights(last)
@@ -325,56 +277,40 @@ func (n *Network) BackwardBatch(actions []int, gs, grad []float64) {
 			panic(fmt.Sprintf("nn: BackwardBatch action %d (sample %d) out of range [0,%d)", a, s, nact))
 		}
 	}
+	n.backwardOutput(actions, gs, grad)
 	l := nl - 1
-	nin := n.sizes[l]
+	if l == 0 {
+		return
+	}
+	seedDelta(n.sizes[l], n.weights(l), gs, actions, n.bpre[l-1], n.bdelta[l])
+	n.backpropBatch(batch, l-1, grad)
+}
+
+// backwardOutput is BackwardBatch's output layer, on checked arguments.
+func (n *Network) backwardOutput(actions []int, gs, grad []float64) {
+	l := len(n.sizes) - 2
+	nin, nact := n.sizes[l], n.sizes[l+1]
 	in := n.bacts[l]
 	// Output layer: one touched unit per sample, accumulated in sample
 	// order. Cells of different actions are disjoint; same-action samples
 	// hit their shared row in ascending s — the scalar path's order.
 	gw := grad[n.wOff[l] : n.wOff[l]+nin*nact]
 	gb := grad[n.bOff[l] : n.bOff[l]+nact]
-	for s := 0; s < batch; s++ {
-		g := gs[s]
+	for s, g := range gs {
 		if !zeroGrad(g) { // exact zero skip: a dead loss gradient contributes nothing
 			a := actions[s]
 			gb[a] += g
 			axpy(g, in[s*nin:(s+1)*nin], gw[a*nin:(a+1)*nin])
 		}
 	}
-	if l == 0 {
-		return
-	}
-	// Seed the delta matrix below the output layer: per sample, the single
-	// nonzero output delta times the taken action's weight row, masked by
-	// the ReLU derivative — the same per-sample arithmetic as
-	// BackwardScalar, including for gs[s] == 0 (the products are still
-	// formed; downstream accumulation skips the resulting exact zeros).
-	delta := n.bdelta[l]
-	wl := n.weights(l)
-	pre := n.bpre[l-1]
-	for s := 0; s < batch; s++ {
-		g := gs[s]
-		wrow := wl[actions[s]*nin : (actions[s]+1)*nin]
-		drow := delta[s*nin : (s+1)*nin]
-		prow := pre[s*nin : (s+1)*nin]
-		prow = prow[:len(drow)] // bounds-check elimination
-		wrow = wrow[:len(drow)]
-		for i := range drow {
-			drow[i] = reluMask(g*wrow[i], prow[i])
-		}
-	}
-	n.backpropBatch(batch, l-1, grad)
 }
 
 // backpropBatch runs the batched shared backward loop from layer top down
 // to layer 0, consuming the delta matrix seeded in n.bdelta[top+1]. It is
 // the batched mirror of backprop: every gradient accumulator cell receives
-// its per-sample contributions in ascending sample order, and the
-// propagated delta matrix accumulates its (sample, i) cells over source
-// units j in ascending j — the scalar loop's order within each sample. The
-// propagation loop keeps delta rows outermost so each weight row streams
-// once per mini-batch and the accumulating delta cells sit a whole sample
-// loop apart.
+// its per-sample contributions in ascending sample order (gradHidden), and
+// the propagated delta matrix accumulates its (sample, i) cells over source
+// units j in ascending j — the scalar loop's order within each sample.
 func (n *Network) backpropBatch(batch, top int, grad []float64) {
 	for l := top; l >= 0; l-- {
 		nin, nout := n.sizes[l], n.sizes[l+1]
@@ -382,51 +318,41 @@ func (n *Network) backpropBatch(batch, top int, grad []float64) {
 		delta := n.bdelta[l+1]
 		gw := grad[n.wOff[l] : n.wOff[l]+nin*nout]
 		gb := grad[n.bOff[l] : n.bOff[l]+nout]
-		// Gradient accumulation, samples outermost: every accumulator cell
-		// receives its per-sample contributions in ascending s — the scalar
-		// path's order — while consecutive touches of any gradient row are
-		// separated by a full unit loop, so the load-add-store chains on the
-		// (L1-resident) gradient matrix never stall on store forwarding. The
-		// per-unit axpy is inlined by hand: Go does not inline functions
-		// containing loops, and at the paper's input width a call per row
-		// would cost more than the multiply-adds.
-		for s := 0; s < batch; s++ {
-			x := in[s*nin : (s+1)*nin]
-			drow := delta[s*nout : (s+1)*nout]
-			for j, d := range drow {
-				if zeroGrad(d) { // exact zero skip: ReLU-dead units contribute nothing
-					continue
-				}
-				gb[j] += d
-				row := gw[j*nin : (j+1)*nin]
-				row = row[:len(x)] // bounds-check elimination
-				for i, xi := range x {
-					row[i] += d * xi
-				}
-			}
-		}
+		gradHidden(nin, delta, in, gw, gb, n.bdelta[0])
 		if l == 0 {
 			return
 		}
-		prev := n.bdelta[l]
-		for i := range prev {
-			prev[i] = 0
-		}
-		w := n.weights(l)
-		for j := 0; j < nout; j++ {
-			wrow := w[j*nin : (j+1)*nin]
-			for s := 0; s < batch; s++ {
-				d := delta[s*nout+j]
-				if zeroGrad(d) { // exact zero skip: ReLU-dead units contribute nothing
-					continue
-				}
-				axpy(d, wrow, prev[s*nin:(s+1)*nin])
+		n.propagateBatch(batch, l)
+	}
+}
+
+// propagateBatch computes layer l's input deltas n.bdelta[l] from its
+// output deltas n.bdelta[l+1]: the weights' transpose applied per sample,
+// each (sample, i) cell accumulated over source units j in ascending j,
+// then masked by the ReLU derivative of layer l-1. Delta rows are
+// outermost so each weight row streams once per mini-batch and the
+// accumulating delta cells sit a whole sample loop apart.
+func (n *Network) propagateBatch(batch, l int) {
+	nin, nout := n.sizes[l], n.sizes[l+1]
+	delta := n.bdelta[l+1]
+	prev := n.bdelta[l]
+	for i := range prev {
+		prev[i] = 0
+	}
+	w := n.weights(l)
+	for j := 0; j < nout; j++ {
+		wrow := w[j*nin : (j+1)*nin]
+		for s := 0; s < batch; s++ {
+			d := delta[s*nout+j]
+			if zeroGrad(d) { // exact zero skip: ReLU-dead units contribute nothing
+				continue
 			}
+			axpy(d, wrow, prev[s*nin:(s+1)*nin])
 		}
-		pre := n.bpre[l-1]
-		pre = pre[:len(prev)] // bounds-check elimination
-		for i := range prev {
-			prev[i] = reluMask(prev[i], pre[i])
-		}
+	}
+	pre := n.bpre[l-1]
+	pre = pre[:len(prev)] // bounds-check elimination
+	for i := range prev {
+		prev[i] = reluMask(prev[i], pre[i])
 	}
 }

@@ -220,11 +220,14 @@ func macStream(w, x []float64, reps int) float64 {
 
 // BenchmarkUpdateRoofline measures the headroom left in the policy
 // update's kernels: ForwardBatch + BackwardBatch at the paper's 5-32-15
-// and batch 128 on device-like (non-negative) states, and macStream over
-// the same number of multiply-adds from L1, alternated within every
-// iteration so host drift hits both alike. It reports each one's ns/MAC
-// and their ratio, which bounds what any bit-identical restructuring of
-// the kernels can still gain (EXPERIMENTS.md "Performance"):
+// and batch 128 on device-like (non-negative) states, the same update on
+// the portable kernels (batchGeneric), and macStream over the same number
+// of multiply-adds from L1, all three alternated within every iteration so
+// host drift hits them alike. It reports each one's ns/MAC, asm/stream
+// and generic/stream — how far each update sits above a plain
+// multiply-add stream — and generic/asm, the packed kernels' gain in one
+// binary, which host phase and code layout cannot move (EXPERIMENTS.md
+// "Performance"). Off amd64 both updates run the same code.
 //
 //	go test -run '^$' -bench UpdateRoofline -count 6 ./internal/nn
 func BenchmarkUpdateRoofline(b *testing.B) {
@@ -243,13 +246,14 @@ func BenchmarkUpdateRoofline(b *testing.B) {
 	}
 	outs := make([]float64, batch)
 	grad := make([]float64, n.NumParams())
+	ggrad := make([]float64, n.NumParams())
 	macs := updateMACs(n.sizes, batch)
 	w := make([]float64, macs/batch)
 	x := make([]float64, len(w))
 	for i := range w {
 		w[i], x[i] = rng.Float64(), rng.Float64()
 	}
-	var kernels, stream time.Duration
+	var kernels, generic, stream time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
@@ -257,11 +261,17 @@ func BenchmarkUpdateRoofline(b *testing.B) {
 		n.BackwardBatch(actions, gs, grad)
 		t1 := time.Now()
 		rooflineSink += macStream(w, x, batch)
-		stream += time.Since(t1)
+		t2 := time.Now()
+		batchGeneric(n, actions, outs, gs, ggrad)
+		generic += time.Since(t2)
+		stream += t2.Sub(t1)
 		kernels += t1.Sub(t0)
 	}
 	total := float64(b.N) * float64(macs)
-	b.ReportMetric(float64(kernels.Nanoseconds())/total, "kernel-ns/MAC")
+	b.ReportMetric(float64(kernels.Nanoseconds())/total, "asm-ns/MAC")
+	b.ReportMetric(float64(generic.Nanoseconds())/total, "generic-ns/MAC")
 	b.ReportMetric(float64(stream.Nanoseconds())/total, "stream-ns/MAC")
-	b.ReportMetric(float64(kernels)/float64(stream), "kernel/stream")
+	b.ReportMetric(float64(kernels)/float64(stream), "asm/stream")
+	b.ReportMetric(float64(generic)/float64(stream), "generic/stream")
+	b.ReportMetric(float64(generic)/float64(kernels), "generic/asm")
 }

@@ -48,10 +48,13 @@ type Network struct {
 	// row-major [batch × width] matrices per layer, grown on demand
 	// (capacity-guarded, so the batched hot loop stays allocation-free at
 	// steady state). batchN is the row count the matrices are currently
-	// sliced to.
+	// sliced to. The inputs have no delta, so bdelta[0] is instead the
+	// batched kernels' transpose scratch (kernels_amd64.go), as long as the
+	// parameter vector so any layer's weight block fits; it holds nothing
+	// between calls.
 	bacts  []([]float64) // bacts[l]: batch × sizes[l] activations
 	bpre   []([]float64) // bpre[l]: batch × sizes[l+1] pre-activations
-	bdelta []([]float64) // bdelta[k]: batch × sizes[k] backward deltas
+	bdelta []([]float64) // bdelta[k]: batch × sizes[k] backward deltas, k ≥ 1
 	batchN int
 }
 

@@ -22,7 +22,9 @@
 # differ mod 64. The device workloads read a 32-byte shift of that code as
 # a 15–30 % change with no device code touched, so a moved symbol says to
 # read a device-workload difference as layout first. The table is
-# informational and does not change the exit status.
+# informational and does not change the exit status. The amd64 kernels of
+# the batched update (internal/nn/kernels_amd64.s) carry the .abi0 suffix
+# of assembly symbols; the linker places them after the package's Go code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,7 +49,9 @@ for side in base head; do
 done
 echo "==> device-path layout, base against head"
 printf '%-38s %8s %8s  %s\n' symbol base head 'mod 64'
-for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).backpropBatch' 'nn.(*Network).Forward' 'nn.dot4' \
+for sym in 'nn.(*Network).ForwardBatch' 'nn.(*Network).BackwardBatch' 'nn.(*Network).backpropBatch' \
+  'nn.forwardHidden' 'nn.seedDelta' 'nn.gradHidden' 'nn.forwardHiddenSSE2.abi0' 'nn.seedDeltaSSE2.abi0' \
+  'nn.gradHiddenSSE2.abi0' 'nn.(*Network).Forward' 'nn.dot4' \
   'nn.(*Adam).Step' 'replay.(*Buffer).Add' 'replay.(*Buffer).SampleInto' 'sim.(*Device).Step' \
   'core.(*Controller).policyAt' 'core.(*Controller).GreedyAction' 'core.(*Controller).Observe' \
   'core.(*Controller).Update' 'workload.(*Stream).Next' 'experiment.(*NeuralDevice).TrainRound' \

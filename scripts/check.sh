@@ -31,9 +31,11 @@
 #                        must equal limb for limb, from operation traces,
 #                        nn.ParamSum against the plain Accum vector it
 #                        must equal mean bit for bit and wire byte for byte,
-#                        and Network.Forward against the one-unit loop it
+#                        Network.Forward against the one-unit loop it
 #                        must equal bit for bit in outputs and caches, from
-#                        fuzz-chosen widths and raw float64 bit patterns
+#                        fuzz-chosen widths and raw float64 bit patterns,
+#                        and the batched update (SSE2 on amd64) against the
+#                        portable Go kernels, the same way
 #   8. bench compile   — every `go test` benchmark body runs once
 #                        (-benchtime 1x), so a paper-artefact, ablation or
 #                        cost-model benchmark that no longer compiles or
@@ -47,6 +49,12 @@
 #  10. parallel smoke  — one multi-worker fleet-scale run,
 #                        `fedpower tree -parallel 4`, exercising the whole
 #                        parallel aggregation plane end to end
+#  11. portable kernels — `make portable` on a linux/amd64 host: internal/nn,
+#                        internal/core and the root bit-identity tests built
+#                        for GOARCH=386, which runs the Go kernels every
+#                        non-amd64 GOARCH uses, held to the amd64 goldens
+#                        (386 does not fuse; arm64's contraction is
+#                        ROADMAP 2(a))
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +105,7 @@ go test -run '^$' -fuzz 'FuzzAdamStepMatchesReference$' -fuzztime "${FUZZ_SMOKE}
 go test -run '^$' -fuzz 'FuzzForwardMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 go test -run '^$' -fuzz 'FuzzAccumMatchesReference$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 go test -run '^$' -fuzz 'FuzzParamSumMatchesAccum$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
+go test -run '^$' -fuzz 'FuzzBatchKernelsMatchGeneric$' -fuzztime "${FUZZ_SMOKE}s" -fuzzminimizetime 200x ./internal/nn/
 
 # Benchmarks are not compiled by `go test` unless they run; one iteration of
 # each keeps the bench suite from bit-rotting.
@@ -108,5 +117,13 @@ make determinism
 
 echo "==> fedpower tree -parallel 4 (multi-worker fleet smoke)"
 go run ./cmd/fedpower tree -topology 1x48 -parallel 4 -rounds 2 -codec dense
+
+# A 386 test binary runs natively only on an amd64 Linux host, which is
+# also the only host where the portable kernels are not already the ones
+# every step above ran.
+if [ "$(go env GOHOSTOS)/$(go env GOHOSTARCH)" = linux/amd64 ]; then
+  echo "==> make portable (the Go kernels under GOARCH=386)"
+  make portable
+fi
 
 echo "==> all checks passed"
